@@ -13,6 +13,7 @@ package app
 
 import (
 	"fmt"
+	"strconv"
 
 	"taopt/internal/sim"
 	"taopt/internal/ui"
@@ -204,37 +205,43 @@ func (a *App) Activities() []string {
 // of the hierarchy is Widgets[i].
 func (a *App) Render(id ScreenID, visit int) *ui.Screen {
 	s := a.Screens[id]
-	root := &ui.Node{Class: "android.widget.FrameLayout", ResourceID: "android:id/content", Enabled: true}
-	toolbar := &ui.Node{Class: "androidx.appcompat.widget.Toolbar", ResourceID: "toolbar", Enabled: true}
-	toolbar.Children = append(toolbar.Children, &ui.Node{
-		Class: "android.widget.TextView", ResourceID: "toolbar_title", Text: s.Title, Enabled: true,
-	})
-	container := &ui.Node{Class: "android.widget.LinearLayout", ResourceID: "container", Enabled: true}
+	seen := strconv.Itoa(visit)
+	// One backing array holds every node: root, toolbar, title, container,
+	// the widgets, then a row and its text per decoration.
+	nodes := make([]ui.Node, 4+len(s.Widgets)+2*s.Decorations)
+	root, toolbar, title, container := &nodes[0], &nodes[1], &nodes[2], &nodes[3]
+	*title = ui.Node{Class: "android.widget.TextView", ResourceID: "toolbar_title", Text: s.Title, Enabled: true}
+	*toolbar = ui.Node{Class: "androidx.appcompat.widget.Toolbar", ResourceID: "toolbar", Enabled: true, Children: []*ui.Node{title}}
+	*container = ui.Node{Class: "android.widget.LinearLayout", ResourceID: "container", Enabled: true}
+	if k := len(s.Widgets) + s.Decorations; k > 0 {
+		container.Children = make([]*ui.Node, 0, k)
+	}
+	*root = ui.Node{Class: "android.widget.FrameLayout", ResourceID: "android:id/content", Enabled: true,
+		Children: []*ui.Node{toolbar, container}}
+	next := nodes[4:]
 	for _, w := range s.Widgets {
 		text := w.Label
 		if w.Volatile {
-			text = fmt.Sprintf("%s · %d", w.Label, visit)
+			text = w.Label + " · " + seen
 		}
-		container.Children = append(container.Children, &ui.Node{
-			Class:      w.Class,
-			ResourceID: w.ResourceID,
-			Text:       text,
-			Enabled:    true,
-			Clickable:  true,
-		})
+		n := &next[0]
+		next = next[1:]
+		*n = ui.Node{Class: w.Class, ResourceID: w.ResourceID, Text: text, Enabled: true, Clickable: true}
+		container.Children = append(container.Children, n)
 	}
 	for d := 0; d < s.Decorations; d++ {
-		row := &ui.Node{Class: "android.widget.LinearLayout", ResourceID: fmt.Sprintf("row_%d", d), Enabled: true}
-		text := fmt.Sprintf("%s item %d", s.Title, d)
+		num := strconv.Itoa(d)
+		text := s.Title + " item " + num
 		if d%2 == 1 {
-			text = fmt.Sprintf("%s item %d (seen %d)", s.Title, d, visit)
+			text = s.Title + " item " + num + " (seen " + seen + ")"
 		}
-		row.Children = append(row.Children, &ui.Node{
-			Class: "android.widget.TextView", ResourceID: fmt.Sprintf("row_text_%d", d), Text: text, Enabled: true,
-		})
+		row, label := &next[0], &next[1]
+		next = next[2:]
+		*label = ui.Node{Class: "android.widget.TextView", ResourceID: "row_text_" + num, Text: text, Enabled: true}
+		*row = ui.Node{Class: "android.widget.LinearLayout", ResourceID: "row_" + num, Enabled: true,
+			Children: []*ui.Node{label}}
 		container.Children = append(container.Children, row)
 	}
-	root.Children = []*ui.Node{toolbar, container}
 	return &ui.Screen{Activity: s.Activity, Root: root}
 }
 

@@ -91,6 +91,10 @@ type Analyzer struct {
 
 	perInstance map[int]*instanceTrace
 	simCache    map[[2]ui.Signature]bool
+	// exemplars memoises each signature's comparison input, so a new pair
+	// in Match costs one PathSet merge rather than two tree walks. A book
+	// exemplar never changes once observed, so neither does its entry.
+	exemplars map[ui.Signature]exemplar
 	// intern is shared by every instance's SpaceTracker: signatures are
 	// interned once and Matcher verdicts memoised once, fleet-trace-wide.
 	intern *internTable
@@ -104,6 +108,12 @@ type instanceTrace struct {
 	visits      []ScreenVisit // legacy (FindSpace-rescan) mode only
 	tracker     *SpaceTracker // incremental mode only
 	sinceReport int
+}
+
+// exemplar is what Match compares of a signature's book exemplar.
+type exemplar struct {
+	activity string
+	paths    ui.PathSet
 }
 
 // NewAnalyzer returns an analyzer reading exemplar hierarchies from book.
@@ -125,6 +135,7 @@ func NewAnalyzer(cfg AnalyzerConfig, book *trace.Book) *Analyzer {
 		book:        book,
 		perInstance: make(map[int]*instanceTrace),
 		simCache:    make(map[[2]ui.Signature]bool),
+		exemplars:   make(map[ui.Signature]exemplar),
 	}
 	a.intern = newInternTable(a)
 	return a
@@ -143,10 +154,40 @@ func (a *Analyzer) Match(x, y ui.Signature) bool {
 	if v, ok := a.simCache[key]; ok {
 		return v
 	}
-	sx, sy := a.book.Lookup(x), a.book.Lookup(y)
-	v := ui.ScreenSimilarity(sx, sy) >= a.cfg.SimilarityThreshold
+	v := a.similarity(x, y) >= a.cfg.SimilarityThreshold
 	a.simCache[key] = v
 	return v
+}
+
+// similarity is ui.ScreenSimilarity of the book exemplars of x and y.
+func (a *Analyzer) similarity(x, y ui.Signature) float64 {
+	ex, okx := a.exemplar(x)
+	ey, oky := a.exemplar(y)
+	switch {
+	case !okx || !oky:
+		if okx == oky {
+			return 1
+		}
+		return 0
+	case ex.activity != ey.activity:
+		return 0
+	}
+	return ui.Dice(ex.paths, ey.paths)
+}
+
+// exemplar returns the memoised comparison input of sig's book exemplar,
+// and false while the book has none.
+func (a *Analyzer) exemplar(sig ui.Signature) (exemplar, bool) {
+	if e, ok := a.exemplars[sig]; ok {
+		return e, true
+	}
+	s := a.book.Lookup(sig)
+	if s == nil {
+		return exemplar{}, false
+	}
+	e := exemplar{activity: s.Activity, paths: ui.Paths(s.Root)}
+	a.exemplars[sig] = e
+	return e, true
 }
 
 // Observe folds one transition event into the instance's trace and, every

@@ -59,10 +59,24 @@ type Emulator struct {
 	resume    map[int]app.ScreenID // functionality -> last screen (task state)
 	loggedIn  bool
 	restarts  int
+	// screens memoises, per ScreenID, what a render of the screen yields
+	// that does not depend on the visit; see screenMemo.
+	screens []screenMemo
 
 	// Coverage and Crashes are this instance's MiniTrace/Logcat analogues.
 	Coverage *coverage.Set
 	Crashes  *crash.Log
+}
+
+// screenMemo is what every render of one screen shares: its abstract
+// signature and the WidgetPath of each widget. Rendering varies only
+// element text with the visit, and the abstraction leaves text out, so both
+// are functions of the ScreenID. The memo lives on the emulator, which one
+// run owns, not on the *app.App, which every emulator of a run shares.
+type screenMemo struct {
+	done  bool
+	sig   ui.Signature
+	paths []ui.WidgetPath
 }
 
 // maxBackStack caps Android-style task depth.
@@ -76,6 +90,7 @@ func NewEmulator(id int, a *app.App, rng *sim.RNG) *Emulator {
 		App:      a,
 		rng:      rng,
 		visits:   make(map[app.ScreenID]int),
+		screens:  make([]screenMemo, len(a.Screens)),
 		resume:   make(map[int]app.ScreenID),
 		Coverage: coverage.NewSet(a.MethodCount()),
 		Crashes:  crash.NewLog(a.Name),
@@ -140,6 +155,33 @@ func (e *Emulator) Render() *ui.Screen {
 	return e.App.Render(e.cur, e.visits[e.cur])
 }
 
+// Activity returns the current screen's Activity name without rendering it.
+func (e *Emulator) Activity() string { return e.App.Screen(e.cur).Activity }
+
+// Sig returns the abstract signature of the current screen, equal to
+// Render().Abstract(). It renders only on a screen's first call.
+func (e *Emulator) Sig() ui.Signature { return e.memo().sig }
+
+// memo returns the current screen's memo, filling it on first use.
+func (e *Emulator) memo() *screenMemo {
+	m := &e.screens[e.cur]
+	if m.done {
+		return m
+	}
+	rendered := e.Render()
+	m.sig = rendered.Abstract()
+	m.paths = make([]ui.WidgetPath, len(e.App.Screen(e.cur).Widgets))
+	for i := range m.paths {
+		path, err := ui.PathOf(rendered.Root, []int{1, i})
+		if err != nil {
+			panic(fmt.Sprintf("device: rendered screen lost widget %d: %v", i, err))
+		}
+		m.paths[i] = path
+	}
+	m.done = true
+	return m
+}
+
 // Actions enumerates the executable actions on the rendered screen. Elements
 // disabled in rendered (e.g. by the Toller driver's entrypoint blocking) are
 // excluded. Back is always available.
@@ -147,17 +189,13 @@ func (e *Emulator) Render() *ui.Screen {
 // rendered must originate from this emulator's Render: the i'th clickable of
 // the container corresponds to widget i of the current screen.
 func (e *Emulator) Actions(rendered *ui.Screen) []Action {
-	s := e.App.Screen(e.cur)
+	paths := e.memo().paths
 	container := rendered.Root.Children[1]
-	var out []Action
-	for i := range s.Widgets {
+	out := make([]Action, 0, len(paths)+1)
+	for i, path := range paths {
 		node := container.Children[i]
 		if !node.Clickable || !node.Enabled {
 			continue
-		}
-		path, err := ui.PathOf(rendered.Root, []int{1, i})
-		if err != nil {
-			panic(fmt.Sprintf("device: rendered screen lost widget %d: %v", i, err))
 		}
 		out = append(out, Action{Kind: trace.ActionTap, Widget: i, Path: path, Node: node})
 	}

@@ -136,13 +136,12 @@ func NewDriver(emu *device.Emulator, book *trace.Book, now sim.Duration) *Driver
 		log:    &trace.Log{},
 		blocks: NewBlockSet(),
 	}
-	d.lastSig = book.Observe(emu.Render())
 	d.emit(trace.Event{
 		Instance: emu.ID,
 		At:       now,
 		Action:   trace.Action{Kind: trace.ActionLaunch},
-		To:       d.lastSig,
-		Activity: emu.Render().Activity,
+		To:       d.observe(),
+		Activity: emu.Activity(),
 	})
 	return d
 }
@@ -169,11 +168,20 @@ func (d *Driver) emit(ev trace.Event) {
 	}
 }
 
+// observe registers the current screen in the book and makes it the
+// driver's last signature. It renders only a signature the book has not
+// seen.
+func (d *Driver) observe() ui.Signature {
+	d.lastSig = d.book.ObserveSig(d.emu.Sig(), d.emu.Render)
+	return d.lastSig
+}
+
 // View renders the current screen, applies entrypoint blocks, and enumerates
-// the actions available to the tool.
+// the actions available to the tool. Its render is the only one a step
+// makes once the book has seen every screen.
 func (d *Driver) View() View {
 	screen := d.emu.Render()
-	sig := d.book.Observe(screen)
+	sig := d.book.ObserveSig(d.emu.Sig(), func() *ui.Screen { return screen })
 	d.lastSig = sig
 	if blocked := d.blocks.BlockedWidgets(sig); len(blocked) > 0 {
 		for path := range blocked {
@@ -191,15 +199,13 @@ func (d *Driver) View() View {
 func (d *Driver) Perform(a device.Action, now sim.Duration) device.Result {
 	from := d.lastSig
 	res := d.emu.Perform(a, now)
-	sig := d.book.Observe(d.emu.Render())
-	d.lastSig = sig
 	d.emit(trace.Event{
 		Instance: d.emu.ID,
 		At:       now + res.Latency,
 		Action:   trace.Action{Kind: a.Kind, Widget: a.Path},
 		From:     from,
-		To:       sig,
-		Activity: d.emu.Render().Activity,
+		To:       d.observe(),
+		Activity: d.emu.Activity(),
 		Crashed:  res.Crashed,
 	})
 	res.Latency += d.steerIfBlocked(now + res.Latency)
@@ -209,7 +215,7 @@ func (d *Driver) Perform(a device.Action, now sim.Duration) device.Result {
 // blockedHere reports whether the instance currently sits somewhere it must
 // not be: inside a blocked subspace or on a disallowed Activity.
 func (d *Driver) blockedHere() bool {
-	return d.blocks.IsMember(d.lastSig) || !d.blocks.ActivityAllowed(d.emu.Render().Activity)
+	return d.blocks.IsMember(d.lastSig) || !d.blocks.ActivityAllowed(d.emu.Activity())
 }
 
 // steerIfBlocked forces the instance out of a blocked subspace. It returns
@@ -226,15 +232,13 @@ func (d *Driver) steerIfBlocked(now sim.Duration) sim.Duration {
 			res = device.Result{Latency: device.MaxRestartLatency}
 		}
 		extra += res.Latency
-		sig := d.book.Observe(d.emu.Render())
-		d.lastSig = sig
 		d.emit(trace.Event{
 			Instance: d.emu.ID,
 			At:       now + extra,
 			Action:   trace.Action{Kind: trace.ActionBack},
 			From:     from,
-			To:       sig,
-			Activity: d.emu.Render().Activity,
+			To:       d.observe(),
+			Activity: d.emu.Activity(),
 			Enforced: true,
 		})
 		if step >= maxSteerSteps {

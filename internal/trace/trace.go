@@ -116,9 +116,16 @@ func NewBook() *Book {
 // Observe registers screen (cloning it on first sight) and returns its
 // signature.
 func (b *Book) Observe(screen *ui.Screen) ui.Signature {
-	sig := screen.Abstract()
+	return b.ObserveSig(screen.Abstract(), func() *ui.Screen { return screen })
+}
+
+// ObserveSig registers the screen whose abstract signature is sig and
+// returns sig. Only the first time sig appears does it call render and
+// keep a clone of the result as the exemplar; a repeat costs one map
+// lookup. render must return a screen whose Abstract() is sig.
+func (b *Book) ObserveSig(sig ui.Signature, render func() *ui.Screen) ui.Signature {
 	if _, ok := b.screens[sig]; !ok {
-		b.screens[sig] = screen.Clone()
+		b.screens[sig] = render().Clone()
 		b.order = append(b.order, sig)
 	}
 	return sig

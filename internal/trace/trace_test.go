@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 
 	"taopt/internal/sim"
@@ -94,4 +95,44 @@ func TestLogReplay(t *testing.T) {
 	}
 	var empty Log
 	empty.Replay(func(Event) { t.Fatal("empty log must not invoke fn") })
+}
+
+// TestObserveSigRendersOnce checks ObserveSig calls render exactly once per
+// new signature, never on a repeat, and keeps the exemplar Observe would.
+func TestObserveSigRendersOnce(t *testing.T) {
+	screens := []*ui.Screen{mkScreen("A", "r1"), mkScreen("A", "r1"), mkScreen("B", "r1"), mkScreen("A", "r2")}
+	screens[1].Root.Children[0].Text = "second visit"
+	viaSig, viaObserve := NewBook(), NewBook()
+	renders := map[ui.Signature]int{}
+	for _, s := range screens {
+		sig := s.Abstract()
+		got := viaSig.ObserveSig(sig, func() *ui.Screen { renders[sig]++; return s })
+		if got != sig {
+			t.Fatalf("ObserveSig returned %v, want %v", got, sig)
+		}
+		viaObserve.Observe(s)
+	}
+	if len(renders) != 3 {
+		t.Fatalf("rendered %d signatures, want 3", len(renders))
+	}
+	for sig, n := range renders {
+		if n != 1 {
+			t.Fatalf("signature %v rendered %d times, want 1", sig, n)
+		}
+	}
+	if !reflect.DeepEqual(viaSig.Signatures(), viaObserve.Signatures()) {
+		t.Fatalf("order %v, Observe's %v", viaSig.Signatures(), viaObserve.Signatures())
+	}
+	for _, sig := range viaSig.Signatures() {
+		if !reflect.DeepEqual(viaSig.Lookup(sig), viaObserve.Lookup(sig)) {
+			t.Fatalf("exemplar of %v differs from Observe's", sig)
+		}
+	}
+	if viaSig.Lookup(screens[0].Abstract()).Root.Children[0].Text != "hello" {
+		t.Fatal("a repeat replaced the first exemplar")
+	}
+	screens[0].Root.Children[0].Enabled = false
+	if !viaSig.Lookup(screens[0].Abstract()).Root.Children[0].Enabled {
+		t.Fatal("ObserveSig must clone the rendered screen")
+	}
 }

@@ -1,7 +1,7 @@
 package ui
 
 import (
-	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -22,54 +22,99 @@ func Similarity(a, b *Node) float64 {
 		}
 		return 0
 	}
-	pa := pathMultiset(a)
-	pb := pathMultiset(b)
-	if len(pa) == 0 && len(pb) == 0 {
-		return 1
+	return Dice(Paths(a), Paths(b))
+}
+
+// PathSet is the multiset of a hierarchy's abstract root-to-node paths: the
+// hash of each distinct path with its number of occurrences, sorted by hash.
+// A caller comparing one hierarchy against many builds it once with Paths
+// and compares with Dice.
+type PathSet []PathCount
+
+// PathCount is one distinct path of a PathSet.
+type PathCount struct {
+	Hash  uint64
+	Count int
+}
+
+// FNV-1a parameters; the path hashes are 64-bit FNV-1a.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
 	}
-	var inter, total int
-	for k, ca := range pa {
-		total += ca
-		if cb, ok := pb[k]; ok {
-			if cb < ca {
-				inter += cb
-			} else {
-				inter += ca
-			}
+	return h
+}
+
+// Paths returns the path multiset of the hierarchy rooted at root (empty
+// for nil). Each path's hash is the FNV-1a of its parent path's hash (8
+// bytes, little-endian; 0 for the root) followed by "class#resourceID".
+func Paths(root *Node) PathSet {
+	if root == nil {
+		return nil
+	}
+	hashes := make([]uint64, 0, 16)
+	var rec func(n *Node, prefix uint64)
+	rec = func(n *Node, prefix uint64) {
+		h := uint64(fnvOffset64)
+		for i := 0; i < 8; i++ {
+			h ^= (prefix >> (8 * i)) & 0xff
+			h *= fnvPrime64
+		}
+		h = fnvString(h, n.Class)
+		h = fnvString(h, "#")
+		h = fnvString(h, n.ResourceID)
+		hashes = append(hashes, h)
+		for _, ch := range n.Children {
+			rec(ch, h)
 		}
 	}
-	for _, cb := range pb {
-		total += cb
+	rec(root, 0)
+	slices.Sort(hashes)
+	out := make(PathSet, 0, len(hashes))
+	for _, h := range hashes {
+		if k := len(out) - 1; k >= 0 && out[k].Hash == h {
+			out[k].Count++
+			continue
+		}
+		out = append(out, PathCount{Hash: h, Count: 1})
+	}
+	return out
+}
+
+// Dice is the Dice coefficient of two path multisets: twice the size of
+// their intersection over the sum of their sizes, and 1 when both are
+// empty. Similarity(a, b) == Dice(Paths(a), Paths(b)) for non-nil a and b.
+func Dice(a, b PathSet) float64 {
+	var inter, total int
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i].Hash < b[j].Hash:
+			i++
+		case a[i].Hash > b[j].Hash:
+			j++
+		default:
+			inter += min(a[i].Count, b[j].Count)
+			i++
+			j++
+		}
+	}
+	for _, p := range a {
+		total += p.Count
+	}
+	for _, p := range b {
+		total += p.Count
 	}
 	if total == 0 {
 		return 1
 	}
 	return float64(2*inter) / float64(total)
-}
-
-// pathMultiset maps the hash of each abstract root-to-node path to its
-// number of occurrences.
-func pathMultiset(root *Node) map[uint64]int {
-	out := make(map[uint64]int)
-	var rec func(n *Node, prefix uint64)
-	rec = func(n *Node, prefix uint64) {
-		h := fnv.New64a()
-		var buf [8]byte
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(prefix >> (8 * i))
-		}
-		h.Write(buf[:])
-		h.Write([]byte(n.Class))
-		h.Write([]byte{'#'})
-		h.Write([]byte(n.ResourceID))
-		key := h.Sum64()
-		out[key]++
-		for _, ch := range n.Children {
-			rec(ch, key)
-		}
-	}
-	rec(root, 0)
-	return out
 }
 
 // ScreenSimilarity compares two screens, treating a differing activity name
