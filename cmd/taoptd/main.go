@@ -16,21 +16,39 @@
 //
 //	curl -s -X POST --data-binary @run.json 'localhost:8347/v1/runs?wait=1'
 //	curl -s localhost:8347/v1/runs/r-000001/export
+//
+// SIGINT or SIGTERM shuts the server down gracefully: it stops accepting
+// connections, lets in-progress requests finish, then drains in-flight
+// computes so no run is left queued in the store, and exits 0.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"runtime"
+	"syscall"
+	"time"
 
 	"taopt/internal/cli"
 	"taopt/internal/service"
 )
 
 var fatalf = cli.Fatalf("taoptd")
+
+// Connection timeouts. A submit or a ?wait=1 request may legitimately block
+// for a whole compute, so there is no read/write deadline on the request
+// itself — only on the header, which bounds slow clients holding a
+// connection open, and on idle keep-alive connections.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 func main() {
 	var (
@@ -57,7 +75,6 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	defer svc.Close()
 
 	// Bind before announcing readiness so scripts can poll the printed line.
 	ln, err := net.Listen("tcp", *addr)
@@ -66,7 +83,32 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "taoptd: listening on %s (store: %s, workers: %d)\n",
 		ln.Addr(), store, *workers)
-	if err := http.Serve(ln, service.NewHandler(svc)); err != nil {
+	srv := &http.Server{
+		Handler:           service.NewHandler(svc),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+
+	select {
+	case err := <-served:
+		fatalf("%v", err)
+	case sig := <-stop:
+		fmt.Fprintf(os.Stderr, "taoptd: %v: shutting down\n", sig)
+	}
+	// Shutdown waits for in-progress requests, including ?wait=1 submits
+	// blocked on a compute; Close then drains the computes no request waits
+	// on, so every run settles before the process exits.
+	if err := srv.Shutdown(context.Background()); err != nil {
+		fatalf("%v", err)
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		fatalf("%v", err)
+	}
+	if err := svc.Close(); err != nil {
 		fatalf("%v", err)
 	}
 }

@@ -79,6 +79,49 @@ func TestFromRunScenarioRejectsUnknowns(t *testing.T) {
 	}
 }
 
+// CheckRunScenario is FromRunScenario's accept/reject decision without the
+// app build: for every document both accept, or both reject with the same
+// error text (the first failing rule, in the same order).
+func TestCheckRunScenarioAgreesWithFromRunScenario(t *testing.T) {
+	run := func(fields string) string {
+		return `{"kind": "run", "name": "x", "run": {` + fields + `}}`
+	}
+	cases := []struct {
+		name    string
+		doc     string
+		setting string // overrides the compiled setting: the compiler rejects unknown ones itself
+		wantErr bool
+	}{
+		{name: "catalog app", doc: run(`"app": "Filters For Selfie", "tool": "monkey", "setting": "baseline"`)},
+		{name: "inline app", doc: run(`"inlineApp": {"name": "Tiny", "app": {"subspaces": 4}},
+			"tool": "ape", "setting": "taopt-resource"`)},
+		{name: "unknown app", doc: run(`"app": "NopeApp", "tool": "monkey", "setting": "baseline"`), wantErr: true},
+		{name: "unknown tool", doc: run(`"app": "Zedge", "tool": "hypermonkey", "setting": "baseline"`), wantErr: true},
+		{name: "unknown setting", doc: run(`"app": "Zedge", "tool": "monkey", "setting": "baseline"`),
+			setting: "taopt-vibes", wantErr: true},
+		{name: "unknown app and tool", doc: run(`"app": "NopeApp", "tool": "hypermonkey", "setting": "baseline"`), wantErr: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rs := mustCompileRunT(t, tc.doc)
+			if tc.setting != "" {
+				rs.Setting = tc.setting
+			}
+			checkErr := CheckRunScenario(rs)
+			_, lowerErr := FromRunScenario(rs)
+			if (checkErr != nil) != tc.wantErr {
+				t.Fatalf("CheckRunScenario = %v, want error %v", checkErr, tc.wantErr)
+			}
+			if (lowerErr != nil) != tc.wantErr {
+				t.Fatalf("FromRunScenario = %v, want error %v", lowerErr, tc.wantErr)
+			}
+			if tc.wantErr && checkErr.Error() != lowerErr.Error() {
+				t.Fatalf("error text diverges:\n check: %v\n lower: %v", checkErr, lowerErr)
+			}
+		})
+	}
+}
+
 // A lowered run scenario must be indistinguishable from the equivalent
 // hand-built RunConfig — the property the service's cache-equivalence oracle
 // (served export == offline taopt export) stands on.

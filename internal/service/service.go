@@ -33,7 +33,8 @@ type Stats struct {
 	// Coalesced counts submits that attached to an in-flight identical
 	// compute instead of starting their own.
 	Coalesced int `json:"coalesced"`
-	// Failures counts runs that ended in StateFailed.
+	// Failures counts computes that failed (an error, a panic, or a store
+	// refusing the cell); every run attached to one ends in StateFailed.
 	Failures int `json:"failures"`
 }
 
@@ -92,12 +93,10 @@ func New(cfg Config) (*Service, error) {
 	if s.exec == nil {
 		s.exec = computeCell
 		// With the real backend, reject what the harness cannot run (unknown
-		// catalog app or tool) at submit time instead of queueing a run that
-		// is doomed to fail.
-		s.validate = func(rs *scenario.RunSpec) error {
-			_, err := harness.FromRunScenario(rs)
-			return err
-		}
+		// catalog app, tool or setting) at submit time instead of queueing a
+		// run that is doomed to fail. The check builds no app, so a cache hit
+		// never pays for one and a miss builds it once, in computeCell.
+		s.validate = harness.CheckRunScenario
 	}
 	s.idle = sync.NewCond(&s.mu)
 	recs, err := cfg.Repo.ListRuns()
@@ -159,6 +158,10 @@ func computeCell(rs *scenario.RunSpec) (Cell, error) {
 // a stored cell is an immediate cache hit, an identical in-flight compute is
 // joined, and only a genuinely new configuration starts a compute. The
 // returned record is the submit-time snapshot; poll or wait for completion.
+//
+// The store is probed before s.mu is taken, so a hit holds the lock only to
+// take its ID; a miss re-checks under the lock (see DESIGN.md §13, "Lock
+// discipline").
 func (s *Service) Submit(data []byte) (RunRecord, error) {
 	rs, err := scenario.CompileRun(data)
 	if err != nil {
@@ -173,9 +176,9 @@ func (s *Service) Submit(data []byte) (RunRecord, error) {
 	if rs.App != nil {
 		appLabel = rs.App.Spec.Name
 	}
+	_, probeErr := s.repo.GetCell(rs.ConfigHash)
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.stats.Submitted++
 	s.nextID++
 	rec := RunRecord{
@@ -188,43 +191,57 @@ func (s *Service) Submit(data []byte) (RunRecord, error) {
 		Seed:       rs.Seed,
 		State:      StateQueued,
 	}
-
-	if fl, ok := s.flights[rs.ConfigHash]; ok {
-		// Coalesce: attach to the in-flight compute of the same hash.
-		s.stats.Coalesced++
-		if err := s.repo.CreateRun(rec); err != nil {
-			return RunRecord{}, err
+	if probeErr != nil {
+		// Re-check under the lock: join a flight started since the probe, or
+		// serve the cell of one that settled since — starting a compute then
+		// would compute the cell twice.
+		if fl, ok := s.flights[rs.ConfigHash]; ok {
+			defer s.mu.Unlock()
+			s.stats.Coalesced++
+			if err := s.repo.CreateRun(rec); err != nil {
+				return RunRecord{}, err
+			}
+			fl.ids = append(fl.ids, rec.ID)
+			return rec, nil
 		}
-		fl.ids = append(fl.ids, rec.ID)
-		return rec, nil
-	}
-	if _, err := s.repo.GetCell(rs.ConfigHash); err == nil {
-		s.stats.CacheHits++
-		rec.State = StateDone
-		rec.CacheHit = true
-		if err := s.repo.CreateRun(rec); err != nil {
-			return RunRecord{}, err
+		if _, err := s.repo.GetCell(rs.ConfigHash); err != nil {
+			// ErrNotFound and ErrCorrupt both fall through to a fresh
+			// compute; PutCell replaces a corrupt cell, which is the
+			// recovery path.
+			defer s.mu.Unlock()
+			if err := s.repo.CreateRun(rec); err != nil {
+				return RunRecord{}, err
+			}
+			fl := &flight{done: make(chan struct{}), ids: []string{rec.ID}}
+			s.flights[rs.ConfigHash] = fl
+			s.active++
+			go s.runFlight(rs, fl)
+			return rec, nil
 		}
-		return rec, nil
 	}
-	// ErrNotFound and ErrCorrupt both fall through to a fresh compute;
-	// PutCell replaces a corrupt cell, which is the recovery path.
+	s.stats.CacheHits++
+	s.mu.Unlock()
 
+	rec.State = StateDone
+	rec.CacheHit = true
 	if err := s.repo.CreateRun(rec); err != nil {
 		return RunRecord{}, err
 	}
-	fl := &flight{done: make(chan struct{}), ids: []string{rec.ID}}
-	s.flights[rs.ConfigHash] = fl
-	s.active++
-	go s.runFlight(rs, fl)
 	return rec, nil
 }
 
-// runFlight executes one compute and settles every attached run record.
+// runFlight executes one compute and settles every attached run record. The
+// cell is stored before s.mu is taken; settling the records and retiring the
+// flight are one critical section, so a submit either joins the flight or
+// finds its cell.
 func (s *Service) runFlight(rs *scenario.RunSpec, fl *flight) {
 	s.sem <- struct{}{}
-	cell, err := s.exec(rs)
+	cell, err := s.compute(rs)
 	<-s.sem
+	if err == nil {
+		cell.ConfigHash = rs.ConfigHash
+		err = s.repo.PutCell(cell)
+	}
 
 	s.mu.Lock()
 	defer func() {
@@ -234,10 +251,6 @@ func (s *Service) runFlight(rs *scenario.RunSpec, fl *flight) {
 		s.mu.Unlock()
 		close(fl.done)
 	}()
-	if err == nil {
-		cell.ConfigHash = rs.ConfigHash
-		err = s.repo.PutCell(cell)
-	}
 	if err == nil {
 		s.stats.Computed++
 	} else {
@@ -257,12 +270,21 @@ func (s *Service) runFlight(rs *scenario.RunSpec, fl *flight) {
 			// coalesced onto it was served from that one compute.
 			rec.CacheHit = i > 0
 		}
-		if uerr := s.repo.UpdateRun(rec); uerr != nil && err == nil {
-			// A record we cannot settle would wait forever; the cell itself
-			// is stored, so surface the store failure on the record reader.
-			continue
-		}
+		// A record the store refuses to settle stays queued with no flight;
+		// WaitRun reports it stranded rather than waiting forever.
+		_ = s.repo.UpdateRun(rec)
 	}
+}
+
+// compute runs the backend, turning a panic into an error so a crashing
+// compute fails its runs instead of the process.
+func (s *Service) compute(rs *scenario.RunSpec) (cell Cell, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("compute panicked: %v", p)
+		}
+	}()
+	return s.exec(rs)
 }
 
 // Run returns the current record for id.
@@ -284,8 +306,10 @@ func (s *Service) WaitRun(id string) (RunRecord, error) {
 		fl := s.flights[rec.ConfigHash]
 		s.mu.Unlock()
 		if fl == nil {
-			// The flight settled between the read and the lookup; re-read.
-			continue
+			// Settling a record and retiring its flight are one critical
+			// section, so a queued record without a flight was never settled
+			// (the store refused the update) and never will be.
+			return rec, fmt.Errorf("%w: run %s is stranded: queued with no compute in flight", ErrRunFailed, id)
 		}
 		<-fl.done
 	}
@@ -313,8 +337,6 @@ func (s *Service) Cell(id string) (Cell, error) {
 	case StateFailed:
 		return Cell{}, fmt.Errorf("%w: run %s: %s", ErrRunFailed, id, rec.Error)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.repo.GetCell(rec.ConfigHash)
 }
 

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"taopt/internal/apps"
 	"taopt/internal/export"
@@ -377,5 +379,223 @@ func TestServiceRejectsUnrunnableAtSubmit(t *testing.T) {
 	}
 	if st := svc.Stats(); st.Submitted != 0 {
 		t.Fatalf("rejected submits counted: %+v", st)
+	}
+}
+
+// A cache hit builds no app: submit-time validation checks names only, and
+// the cell is served from the store. Generating the smallest catalog app
+// (Filters For Selfie) costs about 34,000 allocations; a hit Submit costs
+// about 200 (compiling and hashing the document, one store read, one record
+// write). The bound of 2,000 sits an order of magnitude above the hit
+// and an order below a single app build, so validating with
+// harness.FromRunScenario, which generates the app, fails it.
+func TestServiceHitBuildsNoApp(t *testing.T) {
+	const maxHitAllocs = 2000
+	svc, err := service.New(service.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	doc := []byte(`{"kind": "run", "name": "warm", "run": {
+		"app": "Filters For Selfie", "tool": "monkey", "setting": "baseline",
+		"durationMin": 1, "seed": 2}}`)
+	if rec := mustSubmitWait(t, svc, string(doc)); rec.State != service.StateDone {
+		t.Fatalf("warm-up run settled as %+v", rec)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		rec, err := svc.Submit(doc)
+		if err != nil || !rec.CacheHit {
+			t.Fatalf("hit submit: %+v, %v", rec, err)
+		}
+	})
+	if allocs > maxHitAllocs {
+		t.Fatalf("a cache hit Submit costs %.0f allocations, want at most %d: is the hit path building the app?",
+			allocs, maxHitAllocs)
+	}
+}
+
+// heldProbeRepo holds the first GetCell made after arm until resume closes,
+// returning what the store said before the hold: a submit's unlocked probe
+// that goes stale while a flight settles.
+type heldProbeRepo struct {
+	service.Repository
+	armed   atomic.Bool
+	probing chan struct{}
+	resume  chan struct{}
+}
+
+func (r *heldProbeRepo) GetCell(hash string) (service.Cell, error) {
+	c, err := r.Repository.GetCell(hash)
+	if r.armed.CompareAndSwap(true, false) {
+		close(r.probing)
+		<-r.resume
+	}
+	return c, err
+}
+
+// A submit whose unlocked probe missed while a flight was computing, and
+// which reaches the lock only after that flight settled, must find the
+// stored cell instead of computing it a second time.
+func TestServiceSingleFlightAcrossStaleProbe(t *testing.T) {
+	var computes atomic.Int32
+	release := make(chan struct{})
+	repo := &heldProbeRepo{
+		Repository: service.NewMemRepo(),
+		probing:    make(chan struct{}),
+		resume:     make(chan struct{}),
+	}
+	svc, err := service.New(service.Config{
+		Repo: repo,
+		Exec: func(rs *scenario.RunSpec) (service.Cell, error) {
+			computes.Add(1)
+			<-release
+			return service.Cell{Export: []byte("export"), Trace: []byte("trace")}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	doc := []byte(`{"kind": "run", "name": "stale", "run": {
+		"app": "Zedge", "tool": "monkey", "setting": "baseline", "seed": 4}}`)
+	first, err := svc.Submit(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo.armed.Store(true)
+	late := make(chan service.RunRecord, 1)
+	go func() {
+		rec, err := svc.Submit(doc)
+		if err != nil {
+			t.Errorf("late Submit: %v", err)
+		}
+		late <- rec
+	}()
+	<-repo.probing // the late submit's probe has missed and is held
+	close(release)
+	svc.Drain() // the flight stores its cell, settles and retires
+	close(repo.resume)
+	lateRec := <-late
+	svc.Drain() // a second compute, had the late submit started one
+
+	if got := computes.Load(); got != 1 {
+		t.Fatalf("exec ran %d times, want 1: the stale probe started a second compute", got)
+	}
+	for _, id := range []string{first.ID, lateRec.ID} {
+		rec, err := svc.WaitRun(id)
+		if err != nil || rec.State != service.StateDone {
+			t.Fatalf("run %s settled as %+v, %v", id, rec, err)
+		}
+	}
+	if !lateRec.CacheHit {
+		t.Fatalf("late submit = %+v, want a cache hit", lateRec)
+	}
+	if st := svc.Stats(); st.Computed != 1 || st.CacheHits != 1 || st.Submitted != 2 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// failingUpdateRepo refuses every UpdateRun: a store that cannot settle a
+// record.
+type failingUpdateRepo struct{ service.Repository }
+
+func (failingUpdateRepo) UpdateRun(service.RunRecord) error {
+	return errors.New("disk full")
+}
+
+// A record the store refused to settle is left queued with no flight;
+// WaitRun reports it stranded instead of spinning.
+func TestServiceWaitRunReportsStrandedRun(t *testing.T) {
+	svc, err := service.New(service.Config{
+		Repo: failingUpdateRepo{service.NewMemRepo()},
+		Exec: func(rs *scenario.RunSpec) (service.Cell, error) {
+			return service.Cell{Export: []byte("e"), Trace: []byte("t")}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	rec, err := svc.Submit([]byte(`{"kind": "run", "name": "stranded", "run": {
+		"app": "Zedge", "tool": "monkey", "setting": "baseline"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		rec service.RunRecord
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rec, err := svc.WaitRun(rec.ID)
+		done <- result{rec, err}
+	}()
+	select {
+	case res := <-done:
+		if !errors.Is(res.err, service.ErrRunFailed) || res.rec.State != service.StateQueued {
+			t.Fatalf("WaitRun = %+v, %v; want the queued record and errors.Is ErrRunFailed", res.rec, res.err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("WaitRun did not return for a record stranded in StateQueued")
+	}
+}
+
+// A panicking compute fails every run attached to its flight instead of
+// killing the process, and the service keeps serving: the failure is not
+// cached, so the next submit computes again.
+func TestServiceSurvivesPanickingCompute(t *testing.T) {
+	const n = 3
+	var calls atomic.Int32
+	release := make(chan struct{})
+	svc, err := service.New(service.Config{
+		Exec: func(rs *scenario.RunSpec) (service.Cell, error) {
+			if calls.Add(1) == 1 {
+				<-release
+				panic("emulator wedged")
+			}
+			return service.Cell{Export: []byte("e"), Trace: []byte("t")}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	doc := `{"kind": "run", "name": "boom", "run": {
+		"app": "Zedge", "tool": "monkey", "setting": "baseline"}}`
+	ids := make([]string, n)
+	for i := range ids {
+		rec, err := svc.Submit([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = rec.ID
+	}
+	var wg sync.WaitGroup
+	for _, id := range ids {
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			rec, err := svc.WaitRun(id)
+			if err != nil {
+				t.Errorf("WaitRun(%s): %v", id, err)
+				return
+			}
+			if rec.State != service.StateFailed || !strings.HasPrefix(rec.Error, "compute panicked: emulator wedged") {
+				t.Errorf("run %s settled as %+v, want failed with the panic", id, rec)
+			}
+		}(id)
+	}
+	close(release)
+	svc.Drain()
+	wg.Wait()
+	if st := svc.Stats(); st.Failures != 1 || st.Computed != 0 || st.Coalesced != n-1 {
+		t.Fatalf("stats = %+v", st)
+	}
+
+	rec := mustSubmitWait(t, svc, doc)
+	if rec.State != service.StateDone || rec.CacheHit {
+		t.Fatalf("retry after the panic settled as %+v, want a fresh compute", rec)
 	}
 }

@@ -8,8 +8,11 @@
 #      equivalent flags (the cache-equivalence oracle, end to end);
 #   2. re-submitting the document under a different name is a cache hit
 #      (X-Taopt-Cache: hit) serving byte-identical bytes;
-#   3. after a service restart over the same data directory the hit still
-#      serves — durably, with zero recomputes.
+#   3. SIGTERM with a compute still in flight is a graceful shutdown: the
+#      service exits 0 and leaves no queued run record in the store;
+#   4. after a service restart over the same data directory the hit still
+#      serves — durably, with zero recomputes — and so does the cell the
+#      shutdown drained.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,6 +49,8 @@ cat > "$WORK/run.json" <<'EOF'
   "faults": {"failureRate": 0.2}}}
 EOF
 sed 's/chaos cell/chaos cell, resubmitted/' "$WORK/run.json" > "$WORK/rerun.json"
+# A second configuration, submitted without waiting just before SIGTERM.
+sed 's/"seed": 15/"seed": 16/' "$WORK/run.json" > "$WORK/inflight.json"
 
 # submit POSTs a document with ?wait=1 and leaves the response headers in
 # $WORK/headers; prints the body.
@@ -81,9 +86,19 @@ curl -fsS "$BASE/v1/runs/$RERUN_ID/export" > "$WORK/hit-export.json"
 diff "$WORK/served-export.json" "$WORK/hit-export.json" \
     || { echo "cache hit is not byte-identical" >&2; exit 1; }
 
-echo "service-e2e: restarting the service over the same data directory"
-kill "$SERVER_PID" && wait "$SERVER_PID" 2>/dev/null || true
+echo "service-e2e: SIGTERM with a compute in flight"
+curl -fsS -X POST --data-binary "@$WORK/inflight.json" "$BASE/v1/runs" > /dev/null
+kill -TERM "$SERVER_PID"
+STATUS=0
+wait "$SERVER_PID" || STATUS=$?
 SERVER_PID=""
+[ "$STATUS" -eq 0 ] || { echo "taoptd exited $STATUS on SIGTERM, want 0" >&2; exit 1; }
+if grep -l '"queued"' "$WORK"/store/runs/*.json >&2; then
+    echo "graceful shutdown left queued run records" >&2
+    exit 1
+fi
+
+echo "service-e2e: restarting the service over the same data directory"
 start_server
 submit "$WORK/run.json" > "$WORK/submit3.json"
 [ "$(header x-taopt-cache)" = "hit" ] || { echo "post-restart resubmit was not a cache hit" >&2; exit 1; }
@@ -94,5 +109,8 @@ RESTART_ID="$(header x-taopt-run-id)"
 curl -fsS "$BASE/v1/runs/$RESTART_ID/export" > "$WORK/restart-export.json"
 diff "$WORK/served-export.json" "$WORK/restart-export.json" \
     || { echo "post-restart export is not byte-identical" >&2; exit 1; }
+submit "$WORK/inflight.json" > "$WORK/submit4.json"
+[ "$(header x-taopt-cache)" = "hit" ] \
+    || { echo "the compute drained at shutdown was not stored" >&2; exit 1; }
 
 echo "service-e2e: ok (export $(wc -c < "$WORK/served-export.json") bytes, run $RUN_ID cached and served across a restart)"
