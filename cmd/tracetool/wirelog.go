@@ -6,14 +6,19 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"taopt/internal/bus/wire"
 	"taopt/internal/export"
+	"taopt/internal/trace/bin"
+	"taopt/internal/ui"
 )
 
 // wirelogMain implements the wirelog subcommand: dump a recorded
-// coordination message log, diff two logs frame by frame, or replay a log
-// into the run's export without re-running any tool decision logic.
+// coordination message log, diff two logs record by record, or replay a
+// log into the run's export without re-running any tool decision logic. A
+// wire log is also a binary trace: saved as *.taoptb, `tracetool corpus`
+// scans it like any other run.
 //
 //	tracetool wirelog run.wirelog
 //	tracetool wirelog a.wirelog b.wirelog
@@ -55,38 +60,91 @@ func readWireLog(path string) *wire.Log {
 
 func dumpLog(path string) {
 	log := readWireLog(path)
-	h := log.Header
+	h, c := log.Header, log.Config
 	fmt.Printf("wire log:  %s\n", path)
 	fmt.Printf("run:       %s / %s / %s (seed %d, %d instances, %d devices)\n",
-		h.App, h.Tool, h.Setting, h.Seed, h.Instances, h.MaxDevices)
-	fmt.Printf("faults:    %v  telemetry: %v  core-override: %v\n", h.FaultsEnabled, h.Telemetry, h.CoreOverride)
-	fmt.Printf("frames:    %d\n\n", len(log.Frames))
-	for _, f := range log.Frames {
-		fmt.Println(f)
+		h.App, h.Tool, h.Setting, h.Seed, c.Instances, c.MaxDevices)
+	fmt.Printf("faults:    %v  telemetry: %v  core-override: %v\n", h.Faults, h.Telemetry, c.CoreOverride)
+	fmt.Printf("records:   %d\n\n", len(log.Records))
+	for _, rec := range log.Records {
+		fmt.Println(recordLine(rec))
 	}
 }
 
 func diffLogs(pathA, pathB string) {
 	a, b := readWireLog(pathA), readWireLog(pathB)
-	if a.Header != b.Header {
-		fmt.Printf("headers differ:\n- %+v\n+ %+v\n", a.Header, b.Header)
+	if a.Header != b.Header || a.Config != b.Config {
+		fmt.Printf("headers differ:\n- %+v %+v\n+ %+v %+v\n", a.Header, a.Config, b.Header, b.Config)
 		os.Exit(1)
 	}
-	n := len(a.Frames)
-	if len(b.Frames) < n {
-		n = len(b.Frames)
-	}
+	n := min(len(a.Records), len(b.Records))
 	for i := 0; i < n; i++ {
-		if a.Frames[i].String() != b.Frames[i].String() {
-			fmt.Printf("first divergence at frame %d:\n- %s\n+ %s\n", i, a.Frames[i], b.Frames[i])
+		if la, lb := recordLine(a.Records[i]), recordLine(b.Records[i]); la != lb {
+			fmt.Printf("first divergence at record %d:\n- %s\n+ %s\n", i, la, lb)
 			os.Exit(1)
 		}
 	}
-	if len(a.Frames) != len(b.Frames) {
-		fmt.Printf("logs agree for %d frames, then lengths differ: %d vs %d\n", n, len(a.Frames), len(b.Frames))
+	if len(a.Records) != len(b.Records) {
+		fmt.Printf("logs agree for %d records, then lengths differ: %d vs %d\n", n, len(a.Records), len(b.Records))
 		os.Exit(1)
 	}
-	fmt.Printf("logs identical: %d frames\n", n)
+	fmt.Printf("logs identical: %d records\n", n)
+}
+
+// recordLine renders one wire-log record as a stable human-readable line:
+// the virtual time in seconds, the record kind, then its fields.
+func recordLine(rec bin.Record) string {
+	line := func(atNS int64, format string, args ...any) string {
+		return strings.TrimRight(fmt.Sprintf("%12.3f %-9s ", float64(atNS)/1e9, rec.Kind)+fmt.Sprintf(format, args...), " ")
+	}
+	switch rec.Kind {
+	case bin.KindEvent, bin.KindDelivered:
+		ev, at := rec.Event, int64(rec.Event.At)
+		if rec.Kind == bin.KindDelivered {
+			at = rec.AtNS
+		}
+		return line(at, "inst=%d %s %v->%v crashed=%v enforced=%v", ev.Instance, ev.Action.Kind, ev.From, ev.To, ev.Crashed, ev.Enforced)
+	case bin.KindScreenDef:
+		return line(rec.AtNS, "%v activity=%s nodes=%d", ui.Signature(rec.Def.Sig), rec.Def.Screen.Activity, rec.Def.Screen.Root.Size())
+	case bin.KindCommand, bin.KindFate:
+		c := wire.CommandOf(rec.Cmd)
+		return line(rec.AtNS, "%s inst=%d screen=%v widget=%q", c.Kind, c.Instance, c.Screen, c.Widget)
+	case bin.KindReply:
+		r := wire.ReplyOf(rec.Reply)
+		if r.Err != nil {
+			return line(rec.AtNS, "inst=%d err=%s", r.Instance, r.Err)
+		}
+		return line(rec.AtNS, "inst=%d", r.Instance)
+	case bin.KindLease:
+		return line(rec.AtNS, "inst=%d", rec.Lease)
+	case bin.KindTick:
+		return line(rec.AtNS, "")
+	case bin.KindRunEnd, bin.KindTransport:
+		t := rec.Transport
+		return line(rec.AtNS, "published=%d delivered=%d commands=%d failed=%d orphans=%d", t.Events, t.Delivered, t.Commands, t.FailedInstances, t.OrphansPending)
+	case bin.KindSample:
+		s := rec.Sample
+		return line(s.WallNS, "covered=%d crashes=%d machine=%.3f", s.Covered, s.Crashes, float64(s.MachineNS)/1e9)
+	case bin.KindDecision:
+		d := rec.Decision
+		return line(d.AtNS, "%s inst=%d sub=%d reason=%q", d.Kind, d.Instance, d.Sub, d.Reason)
+	case bin.KindInstance:
+		s := rec.Summary
+		return line(s.ReleasedNS, "inst=%d alloc=%.3f failed=%v coverage=%d crashes=%d", s.ID, float64(s.AllocatedNS)/1e9, s.Failed, s.Coverage, len(s.Crashes))
+	case bin.KindSubspace:
+		s := rec.Subspace
+		return line(s.FoundNS, "id=%d entry=%v owner=%d members=%d", s.ID, ui.Signature(s.Entry), s.Owner, len(s.Members))
+	case bin.KindScreen:
+		return line(0, "%v activity=%s nodes=%d", ui.Signature(rec.Screen.Sig), rec.Screen.Activity, rec.Screen.Nodes)
+	case bin.KindMetric:
+		return line(0, "%s %s value=%g", rec.Metric.Name, rec.Metric.Type, rec.Metric.Value)
+	case bin.KindEnd:
+		e := rec.End
+		return line(e.WallNS, "coverage=%d crashes=%d machine=%.3f", e.Coverage, e.UniqueCrashes, float64(e.MachineNS)/1e9)
+	case bin.KindHeader, bin.KindStrDef, bin.KindSigDef, bin.KindRunConfig:
+		// Consumed by the reader before the record list.
+	}
+	return line(rec.AtNS, "")
 }
 
 func replayLog(path, outPath string) {

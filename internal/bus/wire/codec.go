@@ -5,11 +5,12 @@
 // byte queues; the framing is byte-stream-shaped so a TCP connection drops in
 // later without touching the protocol.
 //
-// The same codec serialises a run's full bidirectional message log — the
-// wire log — which a Recorder captures and export.ReplayWireLog re-drives
-// byte-for-byte: the message log, not the process that produced it, is the
-// reproducibility contract (extending the trace.Log.Replay / tracetool
-// decisions idiom to the whole coordination protocol).
+// A Recorder captures a run's full bidirectional message log — the wire
+// log — which export.ReplayWireLog re-drives byte-for-byte: the message
+// log, not the process that produced it, is the reproducibility contract. A
+// wire log is a binary trace (internal/trace/bin) whose header sets the
+// protocol flag; this package maps bus.Command, bus.Reply and the reply
+// error classes to and from the raw fields of its protocol records.
 //
 // Determinism: the codec has no maps, no wall clock and no randomness; the
 // bytes of a frame are a pure function of its fields, so two identical runs
@@ -21,229 +22,53 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"taopt/internal/bus"
 	"taopt/internal/sim"
 	"taopt/internal/trace"
+	"taopt/internal/trace/bin"
 	"taopt/internal/ui"
 )
 
-// FrameKind tags one frame of the protocol or of the recorded wire log.
-// Event, Command and Reply frames are the protocol proper — they are what
-// travels over the pipe. The remaining kinds appear only in wire logs: they
-// record the nondeterministic inputs and boundary effects a replay needs to
-// re-drive a run without the farm, the tools or the fault plan.
+// FrameKind tags one frame of the live protocol.
 type FrameKind byte
 
 // Frame kinds.
 const (
-	// FrameHeader opens a wire log: the run's identity and resolved config.
-	FrameHeader FrameKind = iota + 1
-	// FrameScreen defines one abstract screen (signature + exemplar
-	// hierarchy) on first sight, before any frame references it.
-	FrameScreen
-	// FrameEvent is one trace event as published at the instance boundary,
-	// before any fault decoration ("ground truth").
-	FrameEvent
-	// FrameDelivered is one trace event as delivered to the coordinator
-	// side, after drops and delays.
-	FrameDelivered
+	// FrameEvent is one trace event travelling up to the coordinator.
+	FrameEvent FrameKind = iota + 1
 	// FrameCommand is one coordinator→executor command.
 	FrameCommand
 	// FrameReply is the executor's answer to the preceding FrameCommand.
 	FrameReply
-	// FrameFate is an injected Kill/Hang command fired by the fault plan
-	// (it enters the transport below the coordinator, so it is not part of
-	// a Command/Reply exchange).
-	FrameFate
-	// FrameLease records one instance boot: its ID and the initial launch
-	// event, which the driver emits before any listener subscribes.
-	FrameLease
-	// FrameTick records one strategy tick (the coordinator's health
-	// monitor and allocation-retry cadence).
-	FrameTick
-	// FrameSample records one timeline sample point.
-	FrameSample
-	// FrameInstance is the end-of-run summary of one instance lease.
-	FrameInstance
-	// FrameRunEnd closes a wire log with the run's totals.
-	FrameRunEnd
 )
 
 func (k FrameKind) String() string {
 	switch k {
-	case FrameHeader:
-		return "header"
-	case FrameScreen:
-		return "screen"
 	case FrameEvent:
 		return "event"
-	case FrameDelivered:
-		return "delivered"
 	case FrameCommand:
 		return "command"
 	case FrameReply:
 		return "reply"
-	case FrameFate:
-		return "fate"
-	case FrameLease:
-		return "lease"
-	case FrameTick:
-		return "tick"
-	case FrameSample:
-		return "sample"
-	case FrameInstance:
-		return "instance"
-	case FrameRunEnd:
-		return "run-end"
 	default:
 		return fmt.Sprintf("kind(%d)", byte(k))
 	}
 }
 
-// logMagic opens every wire-log file; logVersion is the codec revision.
-// Version 2 added the scenario hash to the header frame.
-const (
-	logMagic   = "TAOPTWL"
-	logVersion = 2
-)
-
 // maxFrameSize bounds one frame's payload; anything larger marks a corrupt
-// or truncated stream rather than a legitimate frame.
+// stream rather than a legitimate frame.
 const maxFrameSize = 1 << 26
 
-// Header is the run identity a wire log opens with: enough to rebuild the
-// coordinator (and only the coordinator — tool decisions are replayed from
-// the recorded events, never re-run).
-type Header struct {
-	App     string
-	Tool    string
-	Setting string
-	Seed    int64
-	// Instances is the configured d_max; MaxDevices is the farm's actual
-	// concurrency cap (they differ for single-long runs).
-	Instances  int
-	MaxDevices int
-
-	DurationNS      int64
-	MachineBudgetNS int64
-	SampleEveryNS   int64
-
-	// CoreOverride marks a run whose coordinator used a caller-supplied
-	// core.Config; such logs can be dumped and diffed but not replayed (the
-	// override is not serialised).
-	CoreOverride bool
-	// Telemetry marks a run that collected a telemetry bundle. Replay
-	// reproduces the decision log but not the metrics registry, so the
-	// replayed export of such a run omits the telemetry block.
-	Telemetry bool
-	// FaultsEnabled marks a chaos run (the export carries a transport block).
-	FaultsEnabled bool
-	// ScenarioHash is the canonical hash of the scenario document that
-	// defined the run's app (log version 2); empty for apps built in code.
-	ScenarioHash string
-}
-
-// Sample is one recorded timeline point (raw fields, so the wire layer does
-// not depend on the metrics package).
-type Sample struct {
-	WallNS    int64
-	MachineNS int64
-	Covered   int
-	Crashes   int
-	AJS       float64
-}
-
-// CrashInfo is one recorded crash of an instance summary.
-type CrashInfo struct {
-	Signature string
-	AtNS      int64
-	Frames    []string
-}
-
-// Summary is the end-of-run record of one instance lease.
-type Summary struct {
-	ID          int
-	AllocatedNS int64
-	ReleasedNS  int64
-	Failed      bool
-	Coverage    int
-	Crashes     []CrashInfo
-}
-
-// RunEnd closes a wire log with the run's totals and the transport's final
-// delivery accounting.
-type RunEnd struct {
-	WallNS          int64
-	MachineNS       int64
-	Coverage        int
-	UniqueCrashes   int
-	FailedInstances int
-	OrphansPending  int
-	Stats           bus.Stats
-}
-
-// Frame is one decoded wire-log entry. Kind selects which of the payload
-// fields are meaningful; At is the virtual-clock instant the frame was
-// recorded.
+// Frame is one decoded protocol frame. Kind selects which payload field is
+// meaningful; At is the virtual-clock instant the frame was sent.
 type Frame struct {
 	Kind FrameKind
 	At   sim.Duration
 
-	Header   Header       // FrameHeader
-	Sig      ui.Signature // FrameScreen
-	Screen   *ui.Screen   // FrameScreen
-	Event    trace.Event  // FrameEvent, FrameDelivered, FrameLease (launch)
-	Cmd      bus.Command  // FrameCommand, FrameFate
-	Reply    bus.Reply    // FrameReply
-	Instance int          // FrameLease, FrameInstance
-	Sample   Sample       // FrameSample
-	Summary  Summary      // FrameInstance
-	End      RunEnd       // FrameRunEnd
-}
-
-// String renders the frame as one stable human-readable line (the format
-// tracetool wirelog dumps).
-func (f Frame) String() string {
-	at := float64(f.At) / 1e9
-	switch f.Kind {
-	case FrameHeader:
-		h := f.Header
-		return fmt.Sprintf("%12.3f header   app=%q tool=%s setting=%s seed=%d instances=%d devices=%d faults=%v telemetry=%v override=%v",
-			at, h.App, h.Tool, h.Setting, h.Seed, h.Instances, h.MaxDevices, h.FaultsEnabled, h.Telemetry, h.CoreOverride)
-	case FrameScreen:
-		return fmt.Sprintf("%12.3f screen   %v activity=%s nodes=%d", at, f.Sig, f.Screen.Activity, f.Screen.Root.Size())
-	case FrameEvent, FrameDelivered:
-		ev := f.Event
-		return fmt.Sprintf("%12.3f %-8s inst=%d %s %v->%v crashed=%v enforced=%v",
-			at, f.Kind, ev.Instance, ev.Action.Kind, ev.From, ev.To, ev.Crashed, ev.Enforced)
-	case FrameCommand, FrameFate:
-		c := f.Cmd
-		return fmt.Sprintf("%12.3f %-8s %s inst=%d screen=%v widget=%q", at, f.Kind, c.Kind, c.Instance, c.Screen, c.Widget)
-	case FrameReply:
-		errText := ""
-		if f.Reply.Err != nil {
-			errText = " err=" + f.Reply.Err.Error()
-		}
-		return fmt.Sprintf("%12.3f reply    inst=%d%s", at, f.Reply.Instance, errText)
-	case FrameLease:
-		return fmt.Sprintf("%12.3f lease    inst=%d launch->%v activity=%s", at, f.Instance, f.Event.To, f.Event.Activity)
-	case FrameTick:
-		return fmt.Sprintf("%12.3f tick", at)
-	case FrameSample:
-		return fmt.Sprintf("%12.3f sample   covered=%d crashes=%d machine=%.3f", at, f.Sample.Covered, f.Sample.Crashes, float64(f.Sample.MachineNS)/1e9)
-	case FrameInstance:
-		s := f.Summary
-		return fmt.Sprintf("%12.3f instance inst=%d alloc=%.3f release=%.3f failed=%v coverage=%d crashes=%d",
-			at, s.ID, float64(s.AllocatedNS)/1e9, float64(s.ReleasedNS)/1e9, s.Failed, s.Coverage, len(s.Crashes))
-	case FrameRunEnd:
-		e := f.End
-		return fmt.Sprintf("%12.3f run-end  coverage=%d crashes=%d failed=%d orphans=%d published=%d delivered=%d commands=%d",
-			at, e.Coverage, e.UniqueCrashes, e.FailedInstances, e.OrphansPending, e.Stats.Published, e.Stats.Delivered, e.Stats.Commands)
-	default:
-		return fmt.Sprintf("%12.3f %s", at, f.Kind)
-	}
+	Event trace.Event // FrameEvent
+	Cmd   bus.Command // FrameCommand
+	Reply bus.Reply   // FrameReply
 }
 
 // --- reply error classes --------------------------------------------------
@@ -300,509 +125,198 @@ func decodeErr(class byte, msg string) error {
 	}
 }
 
-// --- primitive encoder/decoder -------------------------------------------
+// --- bus ↔ recorded-run mapping -------------------------------------------
 
-type enc struct{ b []byte }
-
-func (e *enc) u8(v byte) { e.b = append(e.b, v) }
-func (e *enc) boolb(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-func (e *enc) uvarint(v uint64) {
-	e.b = binary.AppendUvarint(e.b, v)
-}
-func (e *enc) varint(v int64) {
-	e.b = binary.AppendVarint(e.b, v)
-}
-func (e *enc) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.b = append(e.b, s...)
-}
-func (e *enc) sig(s ui.Signature) {
-	e.b = binary.LittleEndian.AppendUint64(e.b, uint64(s))
-}
-func (e *enc) f64(v float64) {
-	e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v))
+// commandRecord maps a bus command to the raw fields of a protocol record.
+func commandRecord(c bus.Command) bin.Command {
+	return bin.Command{Kind: byte(c.Kind), Instance: c.Instance, Screen: uint64(c.Screen), Widget: string(c.Widget)}
 }
 
-type dec struct {
-	b   []byte
-	off int
-	err error
+// CommandOf maps a recorded command back to the bus command.
+func CommandOf(c bin.Command) bus.Command {
+	return bus.Command{Kind: bus.CommandKind(c.Kind), Instance: c.Instance, Screen: ui.Signature(c.Screen), Widget: ui.WidgetPath(c.Widget)}
 }
 
-func (d *dec) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("wire: truncated or corrupt %s at offset %d", what, d.off)
+// replyRecord maps a bus reply to its error class and message.
+func replyRecord(r bus.Reply) bin.Reply {
+	rec := bin.Reply{Instance: r.Instance, Class: errClassOf(r.Err)}
+	if r.Err != nil {
+		rec.Msg = r.Err.Error()
 	}
+	return rec
 }
 
-func (d *dec) u8() byte {
-	if d.err != nil || d.off >= len(d.b) {
-		d.fail("byte")
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
+// ReplyOf maps a recorded reply back to a bus reply whose error keeps its
+// message and its retry sentinel.
+func ReplyOf(r bin.Reply) bus.Reply {
+	return bus.Reply{Instance: r.Instance, Err: decodeErr(r.Class, r.Msg)}
 }
 
-func (d *dec) boolb() bool { return d.u8() != 0 }
-
-func (d *dec) uvarint() uint64 {
-	if d.err != nil {
-		return 0
+// Accounting maps a run's transport counters, failed leases and pending
+// orphans to the recorded transport block, with the per-kind command mix.
+func Accounting(st bus.Stats, failedInstances, orphansPending int) bin.Transport {
+	t := bin.Transport{
+		Events:          st.Published,
+		Delivered:       st.Delivered,
+		Commands:        st.Commands,
+		CommandFailures: st.CommandFailures,
+		Dropped:         st.Dropped,
+		Delayed:         st.Delayed,
+		Deaths:          st.Deaths,
+		Hangs:           st.Hangs,
+		AllocFailures:   st.AllocFailures,
+		LostCommands:    st.LostCommands,
+		FailedInstances: failedInstances,
+		OrphansPending:  orphansPending,
+		HasMix:          true,
 	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("uvarint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *dec) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("varint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *dec) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail("string")
-		return ""
-	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-func (d *dec) sig() ui.Signature {
-	if d.err != nil || d.off+8 > len(d.b) {
-		d.fail("signature")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return ui.Signature(v)
-}
-
-func (d *dec) f64() float64 {
-	if d.err != nil || d.off+8 > len(d.b) {
-		d.fail("float")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
-	d.off += 8
-	return v
-}
-
-// --- payload codecs -------------------------------------------------------
-
-func (e *enc) event(ev trace.Event) {
-	e.varint(int64(ev.Instance))
-	e.varint(int64(ev.At))
-	e.u8(byte(ev.Action.Kind))
-	e.str(string(ev.Action.Widget))
-	e.sig(ev.From)
-	e.sig(ev.To)
-	e.str(ev.Activity)
-	var flags byte
-	if ev.Crashed {
-		flags |= 1
-	}
-	if ev.Enforced {
-		flags |= 2
-	}
-	e.u8(flags)
-}
-
-func (d *dec) event() trace.Event {
-	ev := trace.Event{
-		Instance: int(d.varint()),
-		At:       sim.Duration(d.varint()),
-		Action:   trace.Action{Kind: trace.ActionKind(d.u8())},
-	}
-	ev.Action.Widget = ui.WidgetPath(d.str())
-	ev.From = d.sig()
-	ev.To = d.sig()
-	ev.Activity = d.str()
-	flags := d.u8()
-	ev.Crashed = flags&1 != 0
-	ev.Enforced = flags&2 != 0
-	return ev
-}
-
-func (e *enc) command(c bus.Command) {
-	e.u8(byte(c.Kind))
-	e.varint(int64(c.Instance))
-	e.sig(c.Screen)
-	e.str(string(c.Widget))
-}
-
-func (d *dec) command() bus.Command {
-	return bus.Command{
-		Kind:     bus.CommandKind(d.u8()),
-		Instance: int(d.varint()),
-		Screen:   d.sig(),
-		Widget:   ui.WidgetPath(d.str()),
-	}
-}
-
-func (e *enc) reply(r bus.Reply) {
-	e.varint(int64(r.Instance))
-	class := errClassOf(r.Err)
-	e.u8(class)
-	if class != errClassNone {
-		e.str(r.Err.Error())
-	}
-}
-
-func (d *dec) reply() bus.Reply {
-	r := bus.Reply{Instance: int(d.varint())}
-	class := d.u8()
-	if class != errClassNone {
-		r.Err = decodeErr(class, d.str())
-	}
-	return r
-}
-
-func (e *enc) node(n *ui.Node) {
-	if n == nil {
-		e.boolb(false)
-		return
-	}
-	e.boolb(true)
-	e.str(n.Class)
-	e.str(n.ResourceID)
-	e.str(n.Text)
-	var flags byte
-	if n.Enabled {
-		flags |= 1
-	}
-	if n.Clickable {
-		flags |= 2
-	}
-	e.u8(flags)
-	e.uvarint(uint64(len(n.Children)))
-	for _, ch := range n.Children {
-		e.node(ch)
-	}
-}
-
-func (d *dec) node() *ui.Node {
-	if !d.boolb() || d.err != nil {
-		return nil
-	}
-	n := &ui.Node{Class: d.str(), ResourceID: d.str(), Text: d.str()}
-	flags := d.u8()
-	n.Enabled = flags&1 != 0
-	n.Clickable = flags&2 != 0
-	count := d.uvarint()
-	if d.err != nil || count > uint64(len(d.b)-d.off) {
-		d.fail("node children")
-		return n
-	}
-	for i := uint64(0); i < count; i++ {
-		n.Children = append(n.Children, d.node())
-		if d.err != nil {
-			break
-		}
-	}
-	return n
-}
-
-func (e *enc) busStats(s bus.Stats) {
-	e.varint(int64(s.Published))
-	e.varint(int64(s.Delivered))
-	e.varint(int64(s.Commands))
-	e.uvarint(uint64(len(s.ByKind)))
-	for _, n := range s.ByKind {
-		e.varint(int64(n))
-	}
-	e.varint(int64(s.CommandFailures))
-	e.varint(int64(s.Dropped))
-	e.varint(int64(s.Delayed))
-	e.varint(int64(s.Deaths))
-	e.varint(int64(s.Hangs))
-	e.varint(int64(s.AllocFailures))
-	e.varint(int64(s.LostCommands))
-}
-
-func (d *dec) busStats() bus.Stats {
-	var s bus.Stats
-	s.Published = int(d.varint())
-	s.Delivered = int(d.varint())
-	s.Commands = int(d.varint())
-	kinds := d.uvarint()
-	for i := uint64(0); i < kinds && d.err == nil; i++ {
-		n := int(d.varint())
-		if i < uint64(len(s.ByKind)) {
-			s.ByKind[i] = n
-		}
-	}
-	s.CommandFailures = int(d.varint())
-	s.Dropped = int(d.varint())
-	s.Delayed = int(d.varint())
-	s.Deaths = int(d.varint())
-	s.Hangs = int(d.varint())
-	s.AllocFailures = int(d.varint())
-	s.LostCommands = int(d.varint())
-	return s
+	copy(t.Mix[:], st.ByKind[:])
+	return t
 }
 
 // --- frame codec ----------------------------------------------------------
 
-// marshalFrame encodes one frame payload (kind byte, timestamp, body) —
-// without the length prefix, which the stream writer owns.
-func marshalFrame(f Frame) ([]byte, error) {
-	e := &enc{}
-	e.u8(byte(f.Kind))
-	e.varint(int64(f.At))
+// Frames are self-contained — raw strings and signatures, no intern table —
+// because a severed pipe must not corrupt the frames after it.
+
+// appendFrame appends the length-prefixed encoding of f (kind byte,
+// timestamp, body) to dst.
+func appendFrame(dst []byte, f Frame) ([]byte, error) {
+	e := bin.Enc{B: append(dst, 0, 0, 0, 0)}
+	e.U8(byte(f.Kind))
+	e.Varint(int64(f.At))
 	switch f.Kind {
-	case FrameHeader:
-		h := f.Header
-		e.str(h.App)
-		e.str(h.Tool)
-		e.str(h.Setting)
-		e.varint(h.Seed)
-		e.varint(int64(h.Instances))
-		e.varint(int64(h.MaxDevices))
-		e.varint(h.DurationNS)
-		e.varint(h.MachineBudgetNS)
-		e.varint(h.SampleEveryNS)
-		e.str(h.ScenarioHash)
+	case FrameEvent:
+		ev := f.Event
+		e.Varint(int64(ev.Instance))
+		e.Varint(int64(ev.At))
+		e.U8(byte(ev.Action.Kind))
+		e.Str(string(ev.Action.Widget))
+		e.U64(uint64(ev.From))
+		e.U64(uint64(ev.To))
+		e.Str(ev.Activity)
 		var flags byte
-		if h.CoreOverride {
+		if ev.Crashed {
 			flags |= 1
 		}
-		if h.Telemetry {
+		if ev.Enforced {
 			flags |= 2
 		}
-		if h.FaultsEnabled {
-			flags |= 4
-		}
-		e.u8(flags)
-	case FrameScreen:
-		e.sig(f.Sig)
-		e.str(f.Screen.Activity)
-		e.node(f.Screen.Root)
-	case FrameEvent, FrameDelivered:
-		e.event(f.Event)
-	case FrameCommand, FrameFate:
-		e.command(f.Cmd)
+		e.U8(flags)
+	case FrameCommand:
+		e.U8(byte(f.Cmd.Kind))
+		e.Varint(int64(f.Cmd.Instance))
+		e.U64(uint64(f.Cmd.Screen))
+		e.Str(string(f.Cmd.Widget))
 	case FrameReply:
-		e.reply(f.Reply)
-	case FrameLease:
-		e.varint(int64(f.Instance))
-		e.event(f.Event)
-	case FrameTick:
-		// timestamp only
-	case FrameSample:
-		e.varint(f.Sample.WallNS)
-		e.varint(f.Sample.MachineNS)
-		e.varint(int64(f.Sample.Covered))
-		e.varint(int64(f.Sample.Crashes))
-		e.f64(f.Sample.AJS)
-	case FrameInstance:
-		s := f.Summary
-		e.varint(int64(s.ID))
-		e.varint(s.AllocatedNS)
-		e.varint(s.ReleasedNS)
-		e.boolb(s.Failed)
-		e.varint(int64(s.Coverage))
-		e.uvarint(uint64(len(s.Crashes)))
-		for _, cr := range s.Crashes {
-			e.str(cr.Signature)
-			e.varint(cr.AtNS)
-			e.uvarint(uint64(len(cr.Frames)))
-			for _, fr := range cr.Frames {
-				e.str(fr)
-			}
+		rec := replyRecord(f.Reply)
+		e.Varint(int64(rec.Instance))
+		e.U8(rec.Class)
+		if rec.Class != errClassNone {
+			e.Str(rec.Msg)
 		}
-	case FrameRunEnd:
-		end := f.End
-		e.varint(end.WallNS)
-		e.varint(end.MachineNS)
-		e.varint(int64(end.Coverage))
-		e.varint(int64(end.UniqueCrashes))
-		e.varint(int64(end.FailedInstances))
-		e.varint(int64(end.OrphansPending))
-		e.busStats(end.Stats)
 	default:
-		return nil, fmt.Errorf("wire: cannot marshal frame kind %v", f.Kind)
+		return dst, fmt.Errorf("wire: cannot marshal frame kind %v", f.Kind)
 	}
-	return e.b, nil
+	binary.LittleEndian.PutUint32(e.B[len(dst):], uint32(len(e.B)-len(dst)-4))
+	return e.B, nil
 }
 
-// decodeFrame decodes one frame payload produced by marshalFrame.
+// decodeFrame decodes one frame payload (without its length prefix).
 func decodeFrame(payload []byte) (Frame, error) {
-	d := &dec{b: payload}
-	f := Frame{Kind: FrameKind(d.u8()), At: sim.Duration(d.varint())}
+	d := bin.NewDec(payload)
+	f := Frame{Kind: FrameKind(d.U8()), At: sim.Duration(d.Varint())}
 	switch f.Kind {
-	case FrameHeader:
-		h := Header{
-			App:             d.str(),
-			Tool:            d.str(),
-			Setting:         d.str(),
-			Seed:            d.varint(),
-			Instances:       int(d.varint()),
-			MaxDevices:      int(d.varint()),
-			DurationNS:      d.varint(),
-			MachineBudgetNS: d.varint(),
-			SampleEveryNS:   d.varint(),
-			ScenarioHash:    d.str(),
+	case FrameEvent:
+		f.Event = trace.Event{
+			Instance: int(d.Varint()),
+			At:       sim.Duration(d.Varint()),
+			Action:   trace.Action{Kind: trace.ActionKind(d.U8()), Widget: ui.WidgetPath(d.Str())},
+			From:     ui.Signature(d.U64()),
+			To:       ui.Signature(d.U64()),
+			Activity: d.Str(),
 		}
-		flags := d.u8()
-		h.CoreOverride = flags&1 != 0
-		h.Telemetry = flags&2 != 0
-		h.FaultsEnabled = flags&4 != 0
-		f.Header = h
-	case FrameScreen:
-		f.Sig = d.sig()
-		f.Screen = &ui.Screen{Activity: d.str(), Root: d.node()}
-	case FrameEvent, FrameDelivered:
-		f.Event = d.event()
-	case FrameCommand, FrameFate:
-		f.Cmd = d.command()
+		flags := d.U8()
+		f.Event.Crashed = flags&1 != 0
+		f.Event.Enforced = flags&2 != 0
+	case FrameCommand:
+		f.Cmd = bus.Command{
+			Kind:     bus.CommandKind(d.U8()),
+			Instance: int(d.Varint()),
+			Screen:   ui.Signature(d.U64()),
+			Widget:   ui.WidgetPath(d.Str()),
+		}
 	case FrameReply:
-		f.Reply = d.reply()
-	case FrameLease:
-		f.Instance = int(d.varint())
-		f.Event = d.event()
-	case FrameTick:
-	case FrameSample:
-		f.Sample = Sample{
-			WallNS:    d.varint(),
-			MachineNS: d.varint(),
-			Covered:   int(d.varint()),
-			Crashes:   int(d.varint()),
-			AJS:       d.f64(),
+		rec := bin.Reply{Instance: int(d.Varint()), Class: d.U8()}
+		if rec.Class != errClassNone {
+			rec.Msg = d.Str()
 		}
-	case FrameInstance:
-		s := Summary{
-			ID:          int(d.varint()),
-			AllocatedNS: d.varint(),
-			ReleasedNS:  d.varint(),
-			Failed:      d.boolb(),
-			Coverage:    int(d.varint()),
-		}
-		crashes := d.uvarint()
-		for i := uint64(0); i < crashes && d.err == nil; i++ {
-			cr := CrashInfo{Signature: d.str(), AtNS: d.varint()}
-			frames := d.uvarint()
-			for j := uint64(0); j < frames && d.err == nil; j++ {
-				cr.Frames = append(cr.Frames, d.str())
-			}
-			s.Crashes = append(s.Crashes, cr)
-		}
-		f.Summary = s
-	case FrameRunEnd:
-		f.End = RunEnd{
-			WallNS:          d.varint(),
-			MachineNS:       d.varint(),
-			Coverage:        int(d.varint()),
-			UniqueCrashes:   int(d.varint()),
-			FailedInstances: int(d.varint()),
-			OrphansPending:  int(d.varint()),
-			Stats:           d.busStats(),
-		}
+		f.Reply = ReplyOf(rec)
 	default:
 		return Frame{}, fmt.Errorf("wire: unknown frame kind %d", byte(f.Kind))
 	}
-	if d.err != nil {
-		return Frame{}, d.err
+	if err := d.Err(); err != nil {
+		return Frame{}, fmt.Errorf("wire: %v frame: %w", f.Kind, err)
 	}
-	if d.off != len(payload) {
-		return Frame{}, fmt.Errorf("wire: %d trailing bytes after %v frame", len(payload)-d.off, f.Kind)
+	if d.Rem() != 0 {
+		return Frame{}, fmt.Errorf("wire: %d trailing bytes after %v frame", d.Rem(), f.Kind)
 	}
 	return f, nil
 }
 
-// appendFrame appends the length-prefixed encoding of f to dst.
-func appendFrame(dst []byte, f Frame) ([]byte, error) {
-	payload, err := marshalFrame(f)
-	if err != nil {
-		return dst, err
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	return append(dst, payload...), nil
-}
-
 // --- wire log reading -----------------------------------------------------
 
-// Log is a decoded wire log: the opening header and every subsequent frame
-// in record order.
+// Log is a decoded wire log: the stream's header, the recorded run config
+// and every later record in stream order.
 type Log struct {
-	Header Header
-	Frames []Frame
+	Header  bin.Header
+	Config  bin.RunConfig
+	Records []bin.Record
 }
 
 // ReadLog decodes a wire log produced by a Recorder. It validates the magic,
-// the codec version, and that the stream opens with a header frame.
+// the codec version, the protocol flag and that the run config opens the
+// stream.
 func ReadLog(r io.Reader) (*Log, error) {
-	br := &byteStream{r: r}
-	magic := make([]byte, len(logMagic)+1)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("wire: reading log magic: %w", err)
+	br, err := OpenLog(r)
+	if err != nil {
+		return nil, err
 	}
-	if string(magic[:len(logMagic)]) != logMagic {
-		return nil, fmt.Errorf("wire: not a wire log (bad magic %q)", magic[:len(logMagic)])
-	}
-	if magic[len(logMagic)] != logVersion {
-		return nil, fmt.Errorf("wire: unsupported wire-log version %d (want %d)", magic[len(logMagic)], logVersion)
-	}
-
-	log := &Log{}
-	lenBuf := make([]byte, 4)
-	for i := 0; ; i++ {
-		if _, err := io.ReadFull(br, lenBuf); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, fmt.Errorf("wire: reading frame %d length: %w", i, err)
+	log := &Log{Header: br.Header(), Config: br.Config}
+	for {
+		rec, err := br.Next()
+		if err == io.EOF {
+			return log, nil
 		}
-		n := binary.LittleEndian.Uint32(lenBuf)
-		if n > maxFrameSize {
-			return nil, fmt.Errorf("wire: frame %d claims %d bytes (corrupt log)", i, n)
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, fmt.Errorf("wire: reading frame %d payload: %w", i, err)
-		}
-		f, err := decodeFrame(payload)
 		if err != nil {
-			return nil, fmt.Errorf("wire: frame %d: %w", i, err)
+			return nil, fmt.Errorf("wire: record %d: %w", len(log.Records), err)
 		}
-		if i == 0 {
-			if f.Kind != FrameHeader {
-				return nil, fmt.Errorf("wire: log opens with %v, want header", f.Kind)
-			}
-			log.Header = f.Header
-			continue
-		}
-		log.Frames = append(log.Frames, f)
+		log.Records = append(log.Records, rec)
 	}
-	return log, nil
 }
 
-// byteStream adapts any reader for io.ReadFull without double-buffering.
-type byteStream struct{ r io.Reader }
+// LogReader streams a wire log's records after its run config.
+type LogReader struct {
+	*bin.Reader
+	Config bin.RunConfig
+}
 
-func (b *byteStream) Read(p []byte) (int, error) { return b.r.Read(p) }
+// OpenLog opens a wire log for streaming: the binary-trace header must set
+// the protocol flag and the run config must be the first record.
+func OpenLog(r io.Reader) (*LogReader, error) {
+	br, err := bin.NewReader(r)
+	if err != nil {
+		return nil, fmt.Errorf("wire: %w", err)
+	}
+	if !br.Header().Protocol {
+		return nil, fmt.Errorf("wire: not a wire log (binary trace without protocol records)")
+	}
+	rec, err := br.Next()
+	if err != nil {
+		return nil, fmt.Errorf("wire: reading run config: %w", err)
+	}
+	if rec.Kind != bin.KindRunConfig {
+		return nil, fmt.Errorf("wire: log opens with %v, want config", rec.Kind)
+	}
+	return &LogReader{Reader: br, Config: *rec.Config}, nil
+}

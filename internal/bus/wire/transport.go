@@ -59,7 +59,9 @@ type Transport struct {
 
 	upBuf   []byte
 	downBuf []byte
-	err     error
+	// frame is the reused encode buffer; the pipe copies what it is given.
+	frame []byte
+	err   error
 }
 
 // New returns a wire transport over a fresh in-process pipe. now supplies
@@ -132,7 +134,8 @@ func (t *Transport) Sever() {
 // severed pipe is dropped silently — the loss surfaces as a missing reply
 // (timeout) or an undelivered event, exactly like a dead network peer.
 func (t *Transport) write(c *Conn, f Frame, frames, bytes *int) {
-	buf, err := appendFrame(nil, f)
+	buf, err := appendFrame(t.frame[:0], f)
+	t.frame = buf
 	if err != nil {
 		t.fail(err)
 		return

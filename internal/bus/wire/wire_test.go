@@ -10,6 +10,7 @@ import (
 	"taopt/internal/bus"
 	"taopt/internal/sim"
 	"taopt/internal/trace"
+	"taopt/internal/trace/bin"
 	"taopt/internal/ui"
 )
 
@@ -28,62 +29,40 @@ func testScreen() *ui.Screen {
 }
 
 // allFrames is one frame of every kind, with every payload field exercised.
-func allFrames(t *testing.T) []Frame {
-	t.Helper()
-	screen := testScreen()
-	sig := ui.Signature(0x1122334455667788)
+func allFrames() []Frame {
 	ev := trace.Event{
 		Instance: 3,
 		At:       sim.Duration(42e9),
 		Action:   trace.Action{Kind: trace.ActionTap, Widget: ui.WidgetPath("root/buy")},
-		From:     sig,
+		From:     ui.Signature(0x1122334455667788),
 		To:       ui.Signature(7),
 		Activity: "CartActivity",
 		Crashed:  true,
 		Enforced: true,
 	}
 	return []Frame{
-		{Kind: FrameHeader, Header: Header{
-			App: "Filters For Selfie", Tool: "monkey", Setting: "taopt-duration",
-			Seed: -9, Instances: 5, MaxDevices: 8, DurationNS: 3600e9,
-			MachineBudgetNS: 5 * 3600e9, SampleEveryNS: 30e9,
-			CoreOverride: false, Telemetry: true, FaultsEnabled: true,
-		}},
-		{Kind: FrameScreen, At: 1e9, Sig: sig, Screen: screen},
 		{Kind: FrameEvent, At: 2e9, Event: ev},
-		{Kind: FrameDelivered, At: 3e9, Event: ev},
-		{Kind: FrameCommand, At: 4e9, Cmd: bus.Command{Kind: bus.BlockWidget, Instance: 2, Screen: sig, Widget: ui.WidgetPath("root/buy")}},
+		{Kind: FrameCommand, At: 4e9, Cmd: bus.Command{Kind: bus.BlockWidget, Instance: 2, Screen: ev.From, Widget: ui.WidgetPath("root/buy")}},
 		{Kind: FrameReply, At: 4e9, Reply: bus.Reply{Instance: 2}},
 		{Kind: FrameReply, At: 5e9, Reply: bus.Reply{Err: bus.ErrNotBound}},
-		{Kind: FrameFate, At: 6e9, Cmd: bus.Command{Kind: bus.Kill, Instance: 1}},
-		{Kind: FrameLease, At: 7e9, Instance: 4, Event: ev},
-		{Kind: FrameTick, At: 8e9},
-		{Kind: FrameSample, At: 9e9, Sample: Sample{WallNS: 9e9, MachineNS: 45e9, Covered: 120, Crashes: 2, AJS: 0.25}},
-		{Kind: FrameInstance, At: 10e9, Summary: Summary{
-			ID: 4, AllocatedNS: 7e9, ReleasedNS: 10e9, Failed: true, Coverage: 33,
-			Crashes: []CrashInfo{{Signature: "NullPointerException@CartActivity", AtNS: 8e9, Frames: []string{"a", "b"}}},
-		}},
-		{Kind: FrameRunEnd, At: 11e9, End: RunEnd{
-			WallNS: 11e9, MachineNS: 55e9, Coverage: 140, UniqueCrashes: 2,
-			FailedInstances: 1, OrphansPending: 1,
-			Stats: bus.Stats{
-				Published: 10, Delivered: 8, Commands: 5, CommandFailures: 2,
-				ByKind:  [bus.NumCommandKinds]int{bus.Allocate: 3, bus.Kill: 2},
-				Dropped: 2, Delayed: 1, Deaths: 2, Hangs: 1, AllocFailures: 1, LostCommands: 1,
-			},
-		}},
 	}
 }
 
+// payload encodes f and strips its length prefix.
+func payload(t *testing.T, f Frame) []byte {
+	t.Helper()
+	b, err := appendFrame(nil, f)
+	if err != nil {
+		t.Fatalf("%v: marshal: %v", f.Kind, err)
+	}
+	return b[4:]
+}
+
 // TestCodecRoundTrip marshals every frame kind and decodes it back, field
-// for field, including the recursive screen tree and the stats map.
+// for field.
 func TestCodecRoundTrip(t *testing.T) {
-	for _, f := range allFrames(t) {
-		payload, err := marshalFrame(f)
-		if err != nil {
-			t.Fatalf("%v: marshal: %v", f.Kind, err)
-		}
-		got, err := decodeFrame(payload)
+	for _, f := range allFrames() {
+		got, err := decodeFrame(payload(t, f))
 		if err != nil {
 			t.Fatalf("%v: decode: %v", f.Kind, err)
 		}
@@ -122,13 +101,14 @@ func TestCodecErrorClasses(t *testing.T) {
 		{errors.New("bus: unknown instance 9"), nil},
 	}
 	for _, c := range cases {
-		payload, err := marshalFrame(Frame{Kind: FrameReply, Reply: bus.Reply{Err: c.err}})
-		if err != nil {
-			t.Fatalf("marshal: %v", err)
-		}
-		got, err := decodeFrame(payload)
+		got, err := decodeFrame(payload(t, Frame{Kind: FrameReply, Reply: bus.Reply{Err: c.err}}))
 		if err != nil {
 			t.Fatalf("decode: %v", err)
+		}
+		// The recorded form maps back to the same error view.
+		if rec := ReplyOf(replyRecord(bus.Reply{Err: c.err})); rec.Err.Error() != c.err.Error() ||
+			(c.sentinel != nil && !errors.Is(rec.Err, c.sentinel)) {
+			t.Fatalf("recorded reply %q lost its message or sentinel", c.err)
 		}
 		if got.Reply.Err.Error() != c.err.Error() {
 			t.Fatalf("message changed: %q -> %q", c.err, got.Reply.Err)
@@ -145,14 +125,11 @@ func TestCodecErrorClasses(t *testing.T) {
 // TestCodecRejectsTrailingBytes guards frame framing: junk after a valid
 // payload is corruption, not slack.
 func TestCodecRejectsTrailingBytes(t *testing.T) {
-	payload, err := marshalFrame(Frame{Kind: FrameTick, At: 1e9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodeFrame(append(payload, 0xFF)); err == nil {
+	p := payload(t, Frame{Kind: FrameCommand, At: 1e9, Cmd: bus.Command{Kind: bus.Kill, Instance: 1}})
+	if _, err := decodeFrame(append(p, 0xFF)); err == nil {
 		t.Fatal("decodeFrame accepted trailing bytes")
 	}
-	if _, err := decodeFrame(payload[:len(payload)-1]); err == nil {
+	if _, err := decodeFrame(p[:len(p)-1]); err == nil {
 		t.Fatal("decodeFrame accepted a truncated payload")
 	}
 }
@@ -276,14 +253,16 @@ func TestTransportSever(t *testing.T) {
 }
 
 // TestRecorderFrameOrdering replays the canonical exchange shapes through
-// the two recording decorators and pins the resulting frame sequence.
+// the two recording decorators, plus the shared records the harness writes
+// through the stream, and pins the resulting record sequence.
 func TestRecorderFrameOrdering(t *testing.T) {
 	var now sim.Duration
 	var buf bytes.Buffer
 	book := trace.NewBook()
 	sig := book.Observe(testScreen())
 
-	rec := NewRecorder(&buf, func() sim.Duration { return now }, book, Header{App: "x", Tool: "monkey", Setting: "baseline"})
+	cfg := bin.RunConfig{Instances: 5, MaxDevices: 4, DurationNS: 60e9, MachineBudgetNS: 300e9, SampleEveryNS: 10e9}
+	rec := NewRecorder(&buf, func() sim.Duration { return now }, book, bin.Header{App: "x", Tool: "monkey", Setting: "baseline"}, cfg)
 	base := bus.NewInline()
 	base.Bind(&echoExec{})
 	port := rec.Outer(rec.Inner(base))
@@ -291,56 +270,96 @@ func TestRecorderFrameOrdering(t *testing.T) {
 	// A coordinator-originated command referencing a screen: definition,
 	// command, reply.
 	now = 1e9
-	port.Send(bus.Command{Kind: bus.BlockWidget, Instance: 1, Screen: sig})
-	// A ground event, then its post-fault delivery.
-	ev := trace.Event{Instance: 1, From: sig, To: sig, Activity: "MainActivity"}
+	cmd := bus.Command{Kind: bus.BlockWidget, Instance: 1, Screen: sig, Widget: "root/buy"}
+	port.Send(cmd)
+	// A ground event as the harness writes it, then its post-fault delivery.
+	ev := trace.Event{Instance: 1, At: now, From: sig, To: sig, Activity: "MainActivity"}
+	rec.Define(ev.From, ev.To)
+	rec.Stream().Event(ev)
 	port.Publish(ev)
 	// A fate injection entering below the coordinator's view.
 	rec.Inner(base).Send(bus.Command{Kind: bus.Kill, Instance: 1})
+	rec.Lease(2)
 	// Run-end bookkeeping.
 	now = 2e9
 	rec.TickMark()
-	rec.End(RunEnd{WallNS: int64(now)})
-	if rec.Err() != nil {
-		t.Fatalf("recorder error: %v", rec.Err())
+	rec.RunEnd(bus.Stats{Published: 1, Delivered: 1, Commands: 2}, 1, 0)
+	rec.Stream().End(bin.End{WallNS: int64(now)})
+	if err := rec.Stream().Close(); err != nil {
+		t.Fatalf("recorder error: %v", err)
 	}
 
 	log, err := ReadLog(&buf)
 	if err != nil {
 		t.Fatalf("reading log back: %v", err)
 	}
-	if log.Header.App != "x" || log.Header.Tool != "monkey" {
+	if log.Header.App != "x" || log.Header.Tool != "monkey" || !log.Header.Protocol {
 		t.Fatalf("header not lifted from the stream: %+v", log.Header)
 	}
-	want := []FrameKind{FrameScreen, FrameCommand, FrameReply, FrameEvent, FrameDelivered, FrameFate, FrameTick, FrameRunEnd}
-	var got []FrameKind
-	for _, f := range log.Frames {
-		got = append(got, f.Kind)
+	if log.Config != cfg {
+		t.Fatalf("config = %+v, want %+v", log.Config, cfg)
+	}
+	want := []bin.Kind{bin.KindScreenDef, bin.KindCommand, bin.KindReply, bin.KindEvent, bin.KindDelivered,
+		bin.KindFate, bin.KindLease, bin.KindTick, bin.KindRunEnd, bin.KindEnd}
+	var got []bin.Kind
+	for _, r := range log.Records {
+		got = append(got, r.Kind)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("frame sequence:\n got %v\nwant %v", got, want)
+		t.Fatalf("record sequence:\n got %v\nwant %v", got, want)
 	}
-	if log.Frames[0].Sig != sig {
-		t.Fatalf("screen defined as %v, want %v", log.Frames[0].Sig, sig)
+	def := log.Records[0].Def
+	if ui.Signature(def.Sig) != sig {
+		t.Fatalf("screen defined as %v, want %v", def.Sig, sig)
 	}
 	// The decoded screen hashes back to its recorded signature.
-	if re := trace.NewBook().Observe(log.Frames[0].Screen); re != sig {
+	if re := trace.NewBook().Observe(def.Screen); re != sig {
 		t.Fatalf("decoded screen re-hashes to %v, want %v", re, sig)
+	}
+	if c := CommandOf(log.Records[1].Cmd); c != cmd || log.Records[1].AtNS != 1e9 {
+		t.Fatalf("command = %+v at %d, want %+v at 1s", c, log.Records[1].AtNS, cmd)
+	}
+	if d := log.Records[4].Event; d != ev {
+		t.Fatalf("delivered = %+v, want %+v", d, ev)
+	}
+	if f := CommandOf(log.Records[5].Cmd); f.Kind != bus.Kill || f.Instance != 1 {
+		t.Fatalf("fate = %+v", f)
+	}
+	if log.Records[6].Lease != 2 || log.Records[7].AtNS != 2e9 {
+		t.Fatalf("lease %d, tick at %d", log.Records[6].Lease, log.Records[7].AtNS)
+	}
+	if end := log.Records[8].Transport; end.Events != 1 || end.FailedInstances != 1 || end.Mix[bus.BlockWidget] != 0 {
+		t.Fatalf("run-end accounting = %+v", end)
 	}
 }
 
-// TestReadLogRejectsGarbage: wrong magic, wrong version and a missing
-// header are loud errors.
+// TestReadLogRejectsGarbage: wrong magic, wrong version and a binary trace
+// without protocol records are loud errors.
 func TestReadLogRejectsGarbage(t *testing.T) {
 	if _, err := ReadLog(bytes.NewReader([]byte("NOTAWLOG"))); err == nil {
 		t.Fatal("accepted bad magic")
 	}
 	var buf bytes.Buffer
-	rec := NewRecorder(&buf, func() sim.Duration { return 0 }, trace.NewBook(), Header{})
-	rec.End(RunEnd{})
+	rec := NewRecorder(&buf, func() sim.Duration { return 0 }, trace.NewBook(), bin.Header{}, bin.RunConfig{})
+	rec.Stream().End(bin.End{})
+	if err := rec.Stream().Close(); err != nil {
+		t.Fatal(err)
+	}
 	raw := buf.Bytes()
-	raw[len(logMagic)] = 99 // corrupt the version byte
+	if _, err := ReadLog(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("rejected a valid empty log: %v", err)
+	}
+	raw[len(bin.Magic)] = 99 // corrupt the version byte
 	if _, err := ReadLog(bytes.NewReader(raw)); err == nil {
 		t.Fatal("accepted unknown version")
+	}
+	buf.Reset()
+	plain := bin.NewWriter(&buf, bin.Header{})
+	plain.End(bin.End{})
+	if err := plain.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadLog(&buf); err == nil {
+		t.Fatal("accepted a binary trace without the protocol flag")
 	}
 }

@@ -1,9 +1,10 @@
 // Package corpus is the cross-run analytics layer over binary trace files
-// (internal/trace/bin): it streams a whole directory of recorded runs in one
-// pass — never holding more than one run's bounded summary in memory — and
-// aggregates the signals that only exist at corpus scale: crash-signature
-// clusters across runs, coverage-curve percentiles across seeds, and
-// flakiness (the same scenario diverging in outcome across runs). This is
+// (internal/trace/bin), wire logs included: it streams a whole directory of
+// recorded runs in one pass — never holding more than one run's bounded
+// summary in memory — and aggregates the signals that only exist at corpus
+// scale: crash-signature clusters across runs, coverage-curve percentiles
+// across seeds, and flakiness (the same scenario diverging in outcome
+// across runs). This is
 // the "thousands of concurrent hour-long runs" consumer the ROADMAP calls
 // for; cmd/tracetool's corpus subcommand is its CLI.
 //
@@ -118,6 +119,11 @@ func Scan(r io.Reader, name string, size int64) (*RunStat, error) {
 		case bin.KindTransport:
 			// Chaos transport accounting is export-level detail; corpus
 			// stats aggregate run outcomes only.
+		case bin.KindRunConfig, bin.KindScreenDef, bin.KindDelivered, bin.KindCommand,
+			bin.KindReply, bin.KindFate, bin.KindLease, bin.KindTick, bin.KindRunEnd:
+			// A wire log's protocol records replay the coordinator; the run's
+			// outcome is in the shared records, so a wire log scans like the
+			// binary trace of the same run.
 		case bin.KindHeader, bin.KindStrDef, bin.KindSigDef:
 			// The Reader consumes header and interning records internally;
 			// one surfacing from Next means the stream (or Reader) is broken.

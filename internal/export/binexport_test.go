@@ -8,9 +8,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"taopt/internal/apps"
+	"taopt/internal/bus/wire"
+	"taopt/internal/corpus"
 	"taopt/internal/faults"
 	"taopt/internal/harness"
 	"taopt/internal/sim"
@@ -181,9 +184,54 @@ func TestBinRoundTripCatalog(t *testing.T) {
 	}
 }
 
-// FuzzTraceBinCodec fuzzes ReadBin over arbitrary bytes: it must never
-// panic, and whenever a stream decodes cleanly, encode∘decode must be a
-// fixed point from the first re-encode on.
+// TestWireLogIsABinaryTrace records the telemetry and chaos cells with both
+// a wire log and a binary trace: the wire log decodes to the same export as
+// the binary trace and the live run, and scans to the same corpus digest
+// apart from its file identity and the protocol flag.
+func TestWireLogIsABinaryTrace(t *testing.T) {
+	cells := binCells()
+	for _, name := range []string{"telemetry", "chaos"} {
+		t.Run(name, func(t *testing.T) {
+			cfg := cells[name]
+			var wl, bt bytes.Buffer
+			cfg.WireLog, cfg.BinTrace = &wl, &bt
+			res, err := harness.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := jsonBytes(t, FromResult(res))
+			for what, stream := range map[string][]byte{"wire log": wl.Bytes(), "binary trace": bt.Bytes()} {
+				run, err := ReadBin(bytes.NewReader(stream))
+				if err != nil {
+					t.Fatalf("ReadBin(%s): %v", what, err)
+				}
+				if got := jsonBytes(t, run); !bytes.Equal(got, live) {
+					t.Fatalf("ReadBin(%s) differs from the live export (%d vs %d JSON bytes)", what, len(got), len(live))
+				}
+			}
+
+			fromLog, err := corpus.Scan(bytes.NewReader(wl.Bytes()), "run.wirelog", int64(wl.Len()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromTrace, err := corpus.Scan(bytes.NewReader(bt.Bytes()), "run.taoptb", int64(bt.Len()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !fromLog.Header.Protocol || fromTrace.Header.Protocol {
+				t.Fatalf("protocol flags: wire log %v, binary trace %v", fromLog.Header.Protocol, fromTrace.Header.Protocol)
+			}
+			fromLog.Path, fromLog.Bytes, fromLog.Header.Protocol = fromTrace.Path, fromTrace.Bytes, false
+			if !reflect.DeepEqual(fromLog, fromTrace) {
+				t.Fatalf("corpus digests differ:\n wire log %+v\n trace    %+v", fromLog, fromTrace)
+			}
+		})
+	}
+}
+
+// FuzzTraceBinCodec fuzzes the recorded-run codec over arbitrary bytes:
+// neither ReadBin nor wire.ReadLog may panic, and whenever a stream decodes
+// cleanly, encode∘decode must be a fixed point from the first re-encode on.
 func FuzzTraceBinCodec(f *testing.F) {
 	cells := binCells()
 	for _, name := range []string{"golden", "chaos"} {
@@ -194,13 +242,25 @@ func FuzzTraceBinCodec(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(stream.Bytes())
-		if len(stream.Bytes()) > 256 {
-			f.Add(stream.Bytes()[:256]) // truncated prefix
-		}
+		f.Add(stream.Bytes()[:256]) // truncated prefix
 	}
+	// A wire log of a short chaos run: small enough to mutate quickly, long
+	// enough to carry every protocol record kind.
+	cfg := cells["chaos"]
+	cfg.Duration, cfg.Instances = 5*sim.Duration(60e9), 2
+	var wl bytes.Buffer
+	cfg.WireLog = &wl
+	if _, err := harness.Run(cfg); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wl.Bytes())
+	f.Add(wl.Bytes()[:wl.Len()/2]) // truncated prefix
 	f.Add([]byte(bin.Magic))
 	f.Add([]byte{})
+	// A chunk length the stream does not back.
+	f.Add([]byte(bin.Magic + "\x01\x00\x00\x00\x04\x01\x02\x03"))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		wire.ReadLog(bytes.NewReader(data)) // must not panic; errors are fine
 		run, err := ReadBin(bytes.NewReader(data))
 		if err != nil {
 			return // corrupt input rejected: fine, as long as no panic

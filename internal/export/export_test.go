@@ -95,11 +95,15 @@ func TestTraceLogsReconstruction(t *testing.T) {
 }
 
 func TestReadRejectsBadVersion(t *testing.T) {
-	if _, err := Read(strings.NewReader(`{"version": 99}`)); err == nil {
-		t.Fatal("wrong version accepted")
-	}
-	if _, err := Read(strings.NewReader(`{garbage`)); err == nil {
-		t.Fatal("garbage accepted")
+	for _, in := range []string{
+		`{"version": 99}`,
+		`{"version": 4}`,
+		`{garbage`,
+		`{"version": 5, "instances": [{"id": 0, "events": [{"kind": "swipe", "to": 1}]}]}`,
+	} {
+		if _, err := Read(strings.NewReader(in)); err == nil {
+			t.Fatalf("accepted %s", in)
+		}
 	}
 }
 

@@ -1,14 +1,14 @@
 // Replay: re-derive a run's export from its recorded wire log.
 //
-// The wire log is the full bidirectional message record of a run (see
-// internal/bus/wire): ground trace events, post-fault deliveries, every
-// Command/Reply exchange, and the boundary effects (leases, screen
-// definitions, ticks, samples, per-lease summaries, run totals). Those
-// frames are sufficient to re-drive the coordinator — and only the
+// A wire log (see internal/bus/wire) is the run's binary trace plus the
+// protocol records of its full bidirectional message record: post-fault
+// deliveries, every Command/Reply exchange, and the boundary effects
+// (leases, screen definitions, ticks, the transport's final accounting).
+// Those records are sufficient to re-drive the coordinator — and only the
 // coordinator — without the farm, the testing tools or the fault plan:
 // tool decisions are replayed from the recorded events, never re-run.
 //
-// Replay is strict. The coordinator's sends are matched frame-for-frame
+// Replay is strict. The coordinator's sends are matched record-for-record
 // against the recorded exchanges; any divergence (a command the log does
 // not carry next, a count that does not reconcile with the recorded run
 // totals) is an error, not a best-effort continuation. A wire log either
@@ -23,33 +23,39 @@ import (
 	"taopt/internal/bus"
 	"taopt/internal/bus/wire"
 	"taopt/internal/core"
+	"taopt/internal/harness"
 	"taopt/internal/obs"
 	"taopt/internal/sim"
 	"taopt/internal/trace"
+	"taopt/internal/trace/bin"
 )
 
-// ReplayWireLog re-drives the run recorded in rd and returns its export —
-// byte-identical to the live run's — plus the re-derived coordinator
-// decision log (empty for baseline settings). The telemetry block is never
-// emitted: the metrics registry samples live harness state the log does not
-// carry, so a telemetry-enabled run replays to its telemetry-free export.
+// ReplayWireLog re-drives the run recorded in rd, streaming its records,
+// and returns its export — byte-identical to the live run's — plus the
+// re-derived coordinator decision log (empty for baseline settings). The
+// telemetry block is never emitted: the metrics registry samples live
+// harness state the log does not replay, so a telemetry-enabled run replays
+// to its telemetry-free export. Subspaces and screens come from the
+// replayed coordinator and trace book, not from the recorded summaries.
 func ReplayWireLog(rd io.Reader) (*Run, *obs.Log, error) {
-	log, err := wire.ReadLog(rd)
+	log, err := wire.OpenLog(rd)
 	if err != nil {
 		return nil, nil, err
 	}
-	if log.Header.CoreOverride {
+	if log.Config.CoreOverride {
 		return nil, nil, fmt.Errorf("export: replay: run used a caller-supplied core.Config, which wire logs do not serialise")
 	}
+	b, err := newRunBuilder(log.Header())
+	if err != nil {
+		return nil, nil, err
+	}
 	e := &wireReplay{
-		hdr:       log.Header,
-		frames:    log.Frames,
+		log:       log,
+		run:       b,
 		book:      trace.NewBook(),
-		events:    make(map[int][]trace.Event),
-		summaries: make(map[int]wire.Summary),
 		decisions: &obs.Log{},
 	}
-	switch e.hdr.Setting {
+	switch log.Header().Setting {
 	case "taopt-duration":
 		e.buildCoordinator(core.DurationConstrained)
 	case "taopt-resource":
@@ -62,20 +68,35 @@ func ReplayWireLog(rd io.Reader) (*Run, *obs.Log, error) {
 	if e.err != nil {
 		return nil, nil, e.err
 	}
-	if err := e.reconcile(); err != nil {
+	out, err := b.finish()
+	if err != nil {
 		return nil, nil, err
 	}
-	return e.export(), e.decisions, nil
+	if err := e.reconcile(out); err != nil {
+		return nil, nil, err
+	}
+	out.Telemetry = nil
+	out.Subspaces = nil
+	if e.coord != nil {
+		for _, sub := range e.coord.Subspaces() {
+			out.Subspaces = append(out.Subspaces, subspaceOf(harness.SubspaceRecord(sub)))
+		}
+	}
+	out.Screens = nil
+	for _, s := range harness.ScreenRecords(e.book) {
+		out.Screens = append(out.Screens, screenOf(s))
+	}
+	return out, e.decisions, nil
 }
 
 // wireReplay re-drives one recorded run. It implements core.Env and
-// bus.Sender against the frame cursor: where the live coordinator talked to
-// the harness and the transport, the replayed one talks to the log.
+// bus.Sender against the record cursor: where the live coordinator talked
+// to the harness and the transport, the replayed one talks to the log.
 type wireReplay struct {
-	hdr    wire.Header
-	frames []wire.Frame
-	pos    int
-	now    sim.Duration
+	log *wire.LogReader
+	run *runBuilder
+	pos int
+	now sim.Duration
 
 	// active mirrors the farm's active-allocation set. Instance IDs are
 	// allocated monotonically and device.Farm.Active sorts by ID, so a
@@ -87,17 +108,14 @@ type wireReplay struct {
 	decisions *obs.Log
 
 	leaseOrder []int
-	events     map[int][]trace.Event
-	summaries  map[int]wire.Summary
-	samples    []wire.Sample
-	end        *wire.RunEnd
+	end        *bin.Transport
 	grounds    int
 	delivered  int
 
 	err error
 }
 
-// senderFunc adapts the engine's frame-matching send to bus.Sender.
+// senderFunc adapts the engine's record-matching send to bus.Sender.
 type senderFunc func(bus.Command) bus.Reply
 
 func (f senderFunc) Send(cmd bus.Command) bus.Reply { return f(cmd) }
@@ -110,25 +128,43 @@ func (e *wireReplay) buildCoordinator(mode core.Mode) {
 
 func (e *wireReplay) fail(format string, args ...any) {
 	if e.err == nil {
-		e.err = fmt.Errorf("export: replay: frame %d: %s", e.pos, fmt.Sprintf(format, args...))
+		e.err = fmt.Errorf("export: replay: record %d: %s", e.pos, fmt.Sprintf(format, args...))
 	}
 }
 
-func (e *wireReplay) next() (wire.Frame, bool) {
-	if e.err != nil || e.pos >= len(e.frames) {
-		return wire.Frame{}, false
+// diverged is the reply a send gets once the replay has failed.
+func diverged() bus.Reply { return bus.Reply{Err: fmt.Errorf("export: replay diverged")} }
+
+// next pulls the next record. The recorded telemetry (decisions, metrics)
+// is skipped wherever it sits: the replay re-derives the decision log and
+// omits the telemetry block.
+func (e *wireReplay) next() (bin.Record, bool) {
+	for e.err == nil {
+		rec, err := e.log.Next()
+		if err == io.EOF {
+			return bin.Record{}, false
+		}
+		if err != nil {
+			e.fail("%v", err)
+			return bin.Record{}, false
+		}
+		e.pos++
+		if rec.Kind == bin.KindDecision || rec.Kind == bin.KindMetric {
+			continue
+		}
+		if rec.Kind.Protocol() {
+			e.now = sim.Duration(rec.AtNS)
+		}
+		return rec, true
 	}
-	f := e.frames[e.pos]
-	e.pos++
-	e.now = f.At
-	return f, true
+	return bin.Record{}, false
 }
 
 // --- core.Env ------------------------------------------------------------
 
 func (e *wireReplay) Now() sim.Duration { return e.now }
 
-func (e *wireReplay) MaxInstances() int { return e.hdr.MaxDevices }
+func (e *wireReplay) MaxInstances() int { return e.log.Config.MaxDevices }
 
 func (e *wireReplay) ActiveInstances() []int {
 	return append([]int(nil), e.active...)
@@ -143,51 +179,54 @@ func (e *wireReplay) Deallocate(id int) error {
 	return e.send(bus.Command{Kind: bus.Deallocate, Instance: id}).Err
 }
 
-// --- frame consumption ---------------------------------------------------
+// --- record consumption --------------------------------------------------
 
 // send matches one coordinator-originated command against the next recorded
 // exchange and returns the recorded reply. The live run's decision sequence
 // is deterministic, so the replayed coordinator must ask for exactly what
 // the log carries next — anything else is divergence.
 func (e *wireReplay) send(cmd bus.Command) bus.Reply {
-	f, ok := e.next()
+	rec, ok := e.next()
 	if !ok {
-		e.fail("coordinator sent %s but the log has no frames left", cmd.Kind)
-		return bus.Reply{Err: fmt.Errorf("export: replay diverged")}
+		e.fail("coordinator sent %s but the log has no records left", cmd.Kind)
+		return diverged()
 	}
-	if f.Kind != wire.FrameCommand {
-		e.fail("coordinator sent %s but the log carries a %v frame", cmd.Kind, f.Kind)
-		return bus.Reply{Err: fmt.Errorf("export: replay diverged")}
+	if rec.Kind != bin.KindCommand {
+		e.fail("coordinator sent %s but the log carries a %v record", cmd.Kind, rec.Kind)
+		return diverged()
 	}
-	if f.Cmd != cmd {
-		e.fail("coordinator sent %+v but the log recorded %+v", cmd, f.Cmd)
-		return bus.Reply{Err: fmt.Errorf("export: replay diverged")}
+	if got := wire.CommandOf(rec.Cmd); got != cmd {
+		e.fail("coordinator sent %+v but the log recorded %+v", cmd, got)
+		return diverged()
 	}
 	return e.consumeExchange(cmd)
 }
 
-// consumeExchange reads the effect frames of one in-flight command (screen
-// definitions, instance leases) up to its reply, then applies the exchange
-// to the mirrored farm state.
+// consumeExchange reads the effect records of one in-flight command (screen
+// definitions, instance leases and their launch events) up to its reply,
+// then applies the exchange to the mirrored farm state.
 func (e *wireReplay) consumeExchange(cmd bus.Command) bus.Reply {
 	for {
-		f, ok := e.next()
+		rec, ok := e.next()
 		if !ok {
 			e.fail("exchange for %s has no reply", cmd.Kind)
-			return bus.Reply{Err: fmt.Errorf("export: replay diverged")}
+			return diverged()
 		}
-		//lint:allow exhaustive "only screen, lease and reply frames are legal inside an exchange; the default fails the replay as divergence"
-		switch f.Kind {
-		case wire.FrameScreen:
-			e.observe(f)
-		case wire.FrameLease:
-			e.lease(f)
-		case wire.FrameReply:
-			e.apply(cmd, f.Reply)
-			return f.Reply
+		//lint:allow exhaustive "only screen definitions, leases, launch events and replies are legal inside an exchange; the default fails the replay as divergence"
+		switch rec.Kind {
+		case bin.KindScreenDef:
+			e.observe(rec.Def)
+		case bin.KindLease:
+			e.leaseOrder = append(e.leaseOrder, rec.Lease)
+		case bin.KindEvent:
+			e.ground(&rec)
+		case bin.KindReply:
+			rep := wire.ReplyOf(rec.Reply)
+			e.apply(cmd, rep)
+			return rep
 		default:
-			e.fail("unexpected %v frame inside a %s exchange", f.Kind, cmd.Kind)
-			return bus.Reply{Err: fmt.Errorf("export: replay diverged")}
+			e.fail("unexpected %v record inside a %s exchange", rec.Kind, cmd.Kind)
+			return diverged()
 		}
 	}
 }
@@ -204,8 +243,8 @@ func (e *wireReplay) apply(cmd bus.Command, rep bus.Reply) {
 			e.removeActive(cmd.Instance)
 		}
 	case bus.BlockWidget, bus.BlockMember, bus.Kill, bus.Hang:
-		// Blocks steer tools and fates arrive as FrameFate injections;
-		// neither changes the mirrored active set here.
+		// Blocks steer tools and fates arrive as fate records; neither
+		// changes the mirrored active set here.
 	}
 }
 
@@ -226,191 +265,107 @@ func (e *wireReplay) removeActive(id int) {
 	}
 }
 
-func (e *wireReplay) observe(f wire.Frame) {
-	sig := e.book.Observe(f.Screen)
-	if sig != f.Sig {
-		e.fail("screen definition hashes to %v, recorded as %v (codec or abstraction drift)", sig, f.Sig)
+func (e *wireReplay) observe(def bin.ScreenDef) {
+	if sig := e.book.Observe(def.Screen); uint64(sig) != def.Sig {
+		e.fail("screen definition hashes to %v, recorded as %v (codec or abstraction drift)", sig, def.Sig)
 	}
 }
 
-func (e *wireReplay) lease(f wire.Frame) {
-	e.leaseOrder = append(e.leaseOrder, f.Instance)
-	e.events[f.Instance] = append(e.events[f.Instance], f.Event)
+// ground folds one ground event (launch events included) into the export.
+func (e *wireReplay) ground(rec *bin.Record) {
+	e.grounds++
+	e.add(rec)
 }
 
-// drive consumes the top-level frame stream: ground events accumulate into
-// the per-instance logs, deliveries feed the coordinator, runner-originated
-// exchanges and fate injections update the mirrored farm state.
+// add folds one shared record into the export being rebuilt.
+func (e *wireReplay) add(rec *bin.Record) {
+	if err := e.run.add(rec); err != nil {
+		e.fail("%v", err)
+	}
+}
+
+// drive consumes the top-level record stream: ground events and the
+// end-of-run summaries rebuild the export, deliveries feed the coordinator,
+// runner-originated exchanges and fate injections update the mirrored farm
+// state.
 func (e *wireReplay) drive() {
-	for e.err == nil && e.pos < len(e.frames) {
-		f, _ := e.next()
-		switch f.Kind {
-		case wire.FrameScreen:
-			e.observe(f)
-		case wire.FrameEvent:
-			e.grounds++
-			e.events[f.Event.Instance] = append(e.events[f.Event.Instance], f.Event)
-		case wire.FrameDelivered:
+	for {
+		rec, ok := e.next()
+		if !ok {
+			return
+		}
+		switch rec.Kind {
+		case bin.KindScreenDef:
+			e.observe(rec.Def)
+		case bin.KindEvent:
+			e.ground(&rec)
+		case bin.KindDelivered:
 			e.delivered++
 			if e.coord != nil {
-				e.coord.OnTransition(f.Event)
+				e.coord.OnTransition(rec.Event)
 			}
-		case wire.FrameCommand:
+		case bin.KindCommand:
 			// A runner-originated exchange: a baseline strategy's allocation,
 			// an end-of-run deallocation, or a guard-rejected request.
-			e.consumeExchange(f.Cmd)
-		case wire.FrameFate:
+			e.consumeExchange(wire.CommandOf(rec.Cmd))
+		case bin.KindFate:
 			// An injected Kill removes the instance from the farm; a Hang
 			// leaves it allocated (and billed) in place.
-			if f.Cmd.Kind == bus.Kill {
-				e.removeActive(f.Cmd.Instance)
+			if c := wire.CommandOf(rec.Cmd); c.Kind == bus.Kill {
+				e.removeActive(c.Instance)
 			}
-		case wire.FrameLease:
-			e.lease(f)
-		case wire.FrameTick:
+		case bin.KindLease:
+			e.leaseOrder = append(e.leaseOrder, rec.Lease)
+		case bin.KindTick:
 			if e.coord != nil {
-				e.coord.Tick(f.At)
+				e.coord.Tick(e.now)
 			}
-		case wire.FrameSample:
-			e.samples = append(e.samples, f.Sample)
-		case wire.FrameInstance:
-			e.summaries[f.Summary.ID] = f.Summary
-		case wire.FrameRunEnd:
-			e.end = &f.End
-		case wire.FrameHeader, wire.FrameReply:
-			// The header is consumed before drive starts and replies are
-			// consumed inside their exchange; either at top level means the
-			// log and this replayer have diverged.
-			e.fail("%v frame outside its exchange (replay diverged)", f.Kind)
-		default:
-			e.fail("unhandled frame kind %v", f.Kind)
+		case bin.KindRunEnd:
+			e.end = rec.Transport
+		case bin.KindSample, bin.KindDecision, bin.KindInstance, bin.KindSubspace,
+			bin.KindScreen, bin.KindTransport, bin.KindMetric, bin.KindEnd:
+			e.add(&rec)
+		case bin.KindHeader, bin.KindStrDef, bin.KindSigDef, bin.KindRunConfig, bin.KindReply:
+			// The header and config are consumed before drive starts and
+			// replies inside their exchange; any of them here means the log
+			// and this replayer have diverged.
+			e.fail("%v record outside its place (replay diverged)", rec.Kind)
 		}
 	}
 }
 
 // reconcile cross-checks the re-driven state against the recorded run
-// totals: the frame counts must reconcile with the transport accounting and
-// the replayed coordinator must land in the recorded end state.
-func (e *wireReplay) reconcile() error {
+// totals: the record counts must reconcile with the transport accounting,
+// the replayed coordinator must land in the recorded end state, and every
+// lease must have its end-of-run summary.
+func (e *wireReplay) reconcile(out *Run) error {
 	if e.end == nil {
-		return fmt.Errorf("export: replay: log carries no run-end frame (truncated recording)")
+		return fmt.Errorf("export: replay: log carries no run-end record (truncated recording)")
 	}
-	// Every ground frame is a publish the transport counted — except delayed
-	// events the run ended before re-delivering, which the recorder saw at
-	// emission but the accounting never credits. Allow exactly that slack.
-	if lost := e.grounds - e.end.Stats.Published; lost < 0 || lost > e.end.Stats.Delayed {
-		return fmt.Errorf("export: replay: %d ground event frames but the run published %d (delayed %d)",
-			e.grounds, e.end.Stats.Published, e.end.Stats.Delayed)
+	// Every ground event after a launch is a publish the transport counted
+	// — except delayed events the run ended before re-delivering, which the
+	// recorder saw at emission but the accounting never credits. Allow
+	// exactly that slack.
+	published := e.grounds - len(e.leaseOrder)
+	if lost := published - e.end.Events; lost < 0 || lost > e.end.Delayed {
+		return fmt.Errorf("export: replay: %d ground events after launch but the run published %d (delayed %d)",
+			published, e.end.Events, e.end.Delayed)
 	}
-	if e.delivered != e.end.Stats.Delivered {
-		return fmt.Errorf("export: replay: %d delivery frames but the run delivered %d", e.delivered, e.end.Stats.Delivered)
+	if e.delivered != e.end.Delivered {
+		return fmt.Errorf("export: replay: %d delivery records but the run delivered %d", e.delivered, e.end.Delivered)
 	}
 	if e.coord != nil && e.coord.OrphanCount() != e.end.OrphansPending {
 		return fmt.Errorf("export: replay: coordinator ends with %d pending orphans, run recorded %d", e.coord.OrphanCount(), e.end.OrphansPending)
 	}
-	for _, id := range e.leaseOrder {
-		if _, ok := e.summaries[id]; !ok {
-			return fmt.Errorf("export: replay: instance %d has a lease but no end-of-run summary", id)
+	if len(out.Instances) != len(e.leaseOrder) {
+		return fmt.Errorf("export: replay: %d leases but %d end-of-run summaries", len(e.leaseOrder), len(out.Instances))
+	}
+	for i, id := range e.leaseOrder {
+		if out.Instances[i].ID != id {
+			return fmt.Errorf("export: replay: lease %d is instance %d but its summary names instance %d", i, id, out.Instances[i].ID)
 		}
 	}
 	return nil
-}
-
-// export assembles the run document exactly as FromResult does from a live
-// result, field for field, so the replayed bytes match the live bytes.
-func (e *wireReplay) export() *Run {
-	end := e.end
-	out := &Run{
-		Version:       FormatVersion,
-		App:           e.hdr.App,
-		Tool:          e.hdr.Tool,
-		Setting:       e.hdr.Setting,
-		Seed:          e.hdr.Seed,
-		ScenarioHash:  e.hdr.ScenarioHash,
-		WallUsedNS:    end.WallNS,
-		MachineUsedNS: end.MachineNS,
-		Coverage:      end.Coverage,
-		UniqueCrashes: end.UniqueCrashes,
-	}
-	if e.hdr.FaultsEnabled {
-		st := end.Stats
-		out.Transport = &Transport{
-			Events:          st.Published,
-			Delivered:       st.Delivered,
-			Commands:        st.Commands,
-			CommandFailures: st.CommandFailures,
-			Dropped:         st.Dropped,
-			Delayed:         st.Delayed,
-			Deaths:          st.Deaths,
-			Hangs:           st.Hangs,
-			AllocFailures:   st.AllocFailures,
-			LostCommands:    st.LostCommands,
-			FailedInstances: end.FailedInstances,
-			OrphansPending:  end.OrphansPending,
-			CommandMix: &CommandMix{
-				Allocate:    st.KindCount(bus.Allocate),
-				Deallocate:  st.KindCount(bus.Deallocate),
-				BlockWidget: st.KindCount(bus.BlockWidget),
-				BlockMember: st.KindCount(bus.BlockMember),
-				Kill:        st.KindCount(bus.Kill),
-				Hang:        st.KindCount(bus.Hang),
-			},
-		}
-	}
-	for _, id := range e.leaseOrder {
-		sum := e.summaries[id]
-		ei := Instance{
-			ID:          id,
-			AllocatedNS: sum.AllocatedNS,
-			ReleasedNS:  sum.ReleasedNS,
-			Coverage:    sum.Coverage,
-			Failed:      sum.Failed,
-		}
-		for _, cr := range sum.Crashes {
-			ei.Crashes = append(ei.Crashes, Crash{Signature: cr.Signature, AtNS: cr.AtNS, Frames: cr.Frames})
-		}
-		for _, ev := range e.events[id] {
-			ei.Events = append(ei.Events, Event{
-				AtNS:     int64(ev.At),
-				Kind:     ev.Action.Kind.String(),
-				Widget:   string(ev.Action.Widget),
-				From:     uint64(ev.From),
-				To:       uint64(ev.To),
-				Activity: ev.Activity,
-				Crashed:  ev.Crashed,
-				Enforced: ev.Enforced,
-			})
-		}
-		out.Instances = append(out.Instances, ei)
-	}
-	if e.coord != nil {
-		for _, sub := range e.coord.Subspaces() {
-			es := Subspace{ID: sub.ID, Entry: uint64(sub.Entry), Owner: sub.Owner, FoundNS: int64(sub.FoundAt)}
-			for m := range sub.Members {
-				es.Members = append(es.Members, uint64(m))
-			}
-			sortUint64(es.Members)
-			out.Subspaces = append(out.Subspaces, es)
-		}
-	}
-	for _, s := range e.samples {
-		out.Timeline = append(out.Timeline, Point{
-			WallNS:    s.WallNS,
-			MachineNS: s.MachineNS,
-			Covered:   s.Covered,
-			Crashes:   s.Crashes,
-			AJS:       s.AJS,
-		})
-	}
-	for _, sig := range e.book.Signatures() {
-		s := e.book.Lookup(sig)
-		out.Screens = append(out.Screens, Screen{
-			Signature: uint64(sig),
-			Activity:  s.Activity,
-			Nodes:     s.Root.Size(),
-		})
-	}
-	return out
 }
 
 // Statically assert the engine satisfies the coordinator's environment seam.

@@ -7,7 +7,7 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"taopt/internal/app"
 	"taopt/internal/bus"
@@ -149,9 +149,10 @@ type RunConfig struct {
 	// Transport selects the coordination transport (default TransportInline).
 	Transport Transport
 	// WireLog, when non-nil, records the run's full bidirectional message
-	// log in the internal/bus/wire format: every ground event, delivery,
-	// command exchange and boundary effect, from which export.ReplayWireLog
-	// re-derives the run byte-for-byte. Works over either transport.
+	// log: a binary trace (see BinTrace) that also carries every delivery,
+	// command exchange and boundary effect (internal/bus/wire), from which
+	// export.ReplayWireLog re-derives the run byte-for-byte. Works over
+	// either transport.
 	WireLog io.Writer
 	// BinTrace, when non-nil, streams the run in the compact binary
 	// trace+telemetry format (internal/trace/bin): events, samples and
@@ -269,22 +270,16 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	r := newRunner(cfg)
 	r.run()
 	res := r.result()
-	// A truncated or failed wire log / wire protocol must fail the run
-	// loudly: a silently incomplete log would replay wrongly later.
-	if r.rec != nil {
-		if err := r.rec.Err(); err != nil {
-			return nil, err
-		}
-	}
+	// A failed wire protocol or a truncated recording must fail the run
+	// loudly: a silently incomplete stream would read or replay wrongly.
 	if r.wireT != nil {
 		if err := r.wireT.Err(); err != nil {
 			return nil, fmt.Errorf("harness: wire transport: %w", err)
 		}
 	}
-	// Likewise a truncated binary trace: it would read as a corrupt stream.
-	if r.bin != nil {
-		if err := r.bin.Close(); err != nil {
-			return nil, fmt.Errorf("harness: binary trace: %w", err)
+	for _, w := range r.streams {
+		if err := w.Close(); err != nil {
+			return nil, fmt.Errorf("harness: recording: %w", err)
 		}
 	}
 	return res, nil
@@ -337,10 +332,12 @@ type runner struct {
 	// Inline); rec is the wire-log recorder when RunConfig.WireLog is set.
 	wireT *wire.Transport
 	rec   *wire.Recorder
-	// bin is the streaming binary trace writer when RunConfig.BinTrace is
-	// set (nil otherwise). It taps the driver-side ground truth, exactly
-	// like the measurements: injected transport faults never reach it.
-	bin *bin.Writer
+	// streams are the run's recordings: the binary trace and the wire log's
+	// stream, whichever are set. Each gets every shared record (events,
+	// samples, decisions, the end-of-run tail), tapped from the driver-side
+	// ground truth exactly like the measurements: injected transport faults
+	// never reach them.
+	streams []*bin.Writer
 }
 
 func newRunner(cfg RunConfig) *runner {
@@ -356,20 +353,7 @@ func newRunner(cfg RunConfig) *runner {
 		r.tel = obs.NewTelemetry()
 	}
 	if cfg.BinTrace != nil {
-		r.bin = bin.NewWriter(cfg.BinTrace, bin.Header{
-			App:          cfg.App.Name,
-			Tool:         cfg.Tool,
-			Setting:      cfg.Setting.String(),
-			Seed:         cfg.Seed,
-			ScenarioHash: cfg.ScenarioHash,
-			Telemetry:    cfg.Telemetry,
-			Faults:       cfg.Faults != nil && cfg.Faults.Enabled(),
-		})
-		if r.tel != nil {
-			// Stream decisions out as the coordinator emits them instead of
-			// buffering them to run end.
-			r.tel.DecisionLog().Tee(r.bin.Decision)
-		}
+		r.streams = append(r.streams, bin.NewWriter(cfg.BinTrace, cfg.RecordHeader()))
 	}
 
 	maxDevices := cfg.Instances
@@ -406,22 +390,25 @@ func newRunner(cfg RunConfig) *runner {
 		base = bus.NewInline()
 	}
 	if cfg.WireLog != nil {
-		r.rec = wire.NewRecorder(cfg.WireLog, r.sched.Now, r.book, wire.Header{
-			App:             cfg.App.Name,
-			Tool:            cfg.Tool,
-			Setting:         cfg.Setting.String(),
-			Seed:            cfg.Seed,
+		r.rec = wire.NewRecorder(cfg.WireLog, r.sched.Now, r.book, cfg.RecordHeader(), bin.RunConfig{
 			Instances:       cfg.Instances,
 			MaxDevices:      maxDevices,
 			DurationNS:      int64(cfg.Duration),
 			MachineBudgetNS: int64(cfg.MachineBudget),
 			SampleEveryNS:   int64(cfg.SampleEvery),
 			CoreOverride:    cfg.CoreConfig != nil,
-			Telemetry:       cfg.Telemetry,
-			FaultsEnabled:   cfg.Faults != nil && cfg.Faults.Enabled(),
-			ScenarioHash:    cfg.ScenarioHash,
 		})
+		r.streams = append(r.streams, r.rec.Stream())
 		base = r.rec.Inner(base)
+	}
+	if r.tel != nil && len(r.streams) > 0 {
+		// Stream decisions out as the coordinator emits them instead of
+		// buffering them to run end.
+		r.tel.DecisionLog().Tee(func(d obs.Decision) {
+			for _, w := range r.streams {
+				w.Decision(d)
+			}
+		})
 	}
 	r.port = bus.WithFaults(base, faults.PlanFor(cfg.Faults, r.rng.Fork(7000003)), r.sched)
 	if r.rec != nil {
@@ -548,14 +535,11 @@ func (r *runner) execAllocate() bus.Reply {
 	r.actors[id] = a
 	r.order = append(r.order, id)
 	if r.rec != nil {
-		// The launch event was emitted before any listener subscribed, so it
-		// never crosses the transport; the lease frame carries it.
-		r.rec.Lease(id, driver.Trace().Events()[0])
+		r.rec.Lease(id)
 	}
-	if r.bin != nil {
-		// Same gap for the binary stream: record the launch event directly.
-		r.bin.Event(driver.Trace().Events()[0])
-	}
+	// The launch event was emitted before any listener subscribed, so it
+	// never reaches recordEvent or the transport: record it directly.
+	r.writeEvent(driver.Trace().Events()[0])
 	r.scheduleStep(a, 0)
 	return bus.Reply{Instance: id}
 }
@@ -629,9 +613,7 @@ func (r *runner) blocks(id int) *toller.BlockSet {
 // degrade coordination (the strategy subscribes through the bus), never the
 // measurements.
 func (r *runner) recordEvent(ev trace.Event) {
-	if r.bin != nil {
-		r.bin.Event(ev)
-	}
+	r.writeEvent(ev)
 	if r.tel != nil {
 		r.tel.Registry().Inc(obs.InstanceCounter("trace.emitted", ev.Instance), 1)
 	}
@@ -639,6 +621,17 @@ func (r *runner) recordEvent(ev trace.Event) {
 		return
 	}
 	r.occurrences[ev.To]++
+}
+
+// writeEvent writes one ground event to every stream, after the wire log's
+// definitions of the screens it references.
+func (r *runner) writeEvent(ev trace.Event) {
+	if r.rec != nil {
+		r.rec.Define(ev.From, ev.To)
+	}
+	for _, w := range r.streams {
+		w.Event(ev)
+	}
 }
 
 func (r *runner) scheduleStep(a *actor, after sim.Duration) {
@@ -715,17 +708,8 @@ func (r *runner) sample() {
 		p.AJS = metrics.AJS(sets)
 	}
 	r.timeline = append(r.timeline, p)
-	if r.rec != nil {
-		r.rec.Sample(wire.Sample{
-			WallNS: int64(p.Wall), MachineNS: int64(p.Machine),
-			Covered: p.Covered, Crashes: p.Crashes, AJS: p.AJS,
-		})
-	}
-	if r.bin != nil {
-		r.bin.Sample(bin.Sample{
-			WallNS: int64(p.Wall), MachineNS: int64(p.Machine),
-			Covered: p.Covered, Crashes: p.Crashes, AJS: p.AJS,
-		})
+	for _, w := range r.streams {
+		w.Sample(SampleRecord(p))
 	}
 	if r.tel != nil {
 		reg := r.tel.Registry()
@@ -850,113 +834,109 @@ func (r *runner) result() *RunResult {
 		res.Wire = &ws
 	}
 	if r.rec != nil {
-		// Close the wire log: per-lease summaries and the run totals, the
-		// frames replay rebuilds the export's non-protocol sections from.
-		for _, ir := range res.Instances {
-			sum := wire.Summary{
-				ID:          ir.ID,
-				AllocatedNS: int64(ir.Allocated),
-				ReleasedNS:  int64(ir.Released),
-				Failed:      ir.Failed,
-				Coverage:    ir.Methods.Count(),
-			}
-			for _, rep := range ir.Crashes.Reports() {
-				sum.Crashes = append(sum.Crashes, wire.CrashInfo{
-					Signature: string(rep.Signature),
-					AtNS:      int64(rep.At),
-					Frames:    rep.Frames,
-				})
-			}
-			r.rec.Instance(sum)
-		}
-		r.rec.End(wire.RunEnd{
-			WallNS:          int64(res.WallUsed),
-			MachineNS:       int64(res.MachineUsed),
-			Coverage:        res.Union.Count(),
-			UniqueCrashes:   res.UniqueCrashes,
-			FailedInstances: res.FailedInstances,
-			OrphansPending:  res.OrphansPending,
-			Stats:           res.Transport,
-		})
+		r.rec.RunEnd(res.Transport, res.FailedInstances, res.OrphansPending)
 	}
-	r.binTail(res)
+	for _, w := range r.streams {
+		r.writeTail(w, res)
+	}
 	return res
 }
 
-// binTail closes the binary trace stream with the bounded end-of-run
-// summaries, mirroring export.FromResult's sections exactly so ReadBin
+// writeTail closes one stream with the bounded end-of-run summaries, the
+// records export.FromResult builds its sections from too, so ReadBin
 // rebuilds the identical JSON view.
-func (r *runner) binTail(res *RunResult) {
-	if r.bin == nil {
-		return
-	}
+func (r *runner) writeTail(w *bin.Writer, res *RunResult) {
 	for _, ir := range res.Instances {
-		sum := bin.InstanceSummary{
-			ID:          ir.ID,
-			AllocatedNS: int64(ir.Allocated),
-			ReleasedNS:  int64(ir.Released),
-			Failed:      ir.Failed,
-			Coverage:    ir.Methods.Count(),
-		}
-		for _, rep := range ir.Crashes.Reports() {
-			sum.Crashes = append(sum.Crashes, bin.Crash{
-				Signature: string(rep.Signature),
-				AtNS:      int64(rep.At),
-				Frames:    rep.Frames,
-			})
-		}
-		r.bin.Instance(sum)
+		w.Instance(ir.Summary())
 	}
 	for _, sub := range res.Subspaces {
-		bs := bin.Subspace{
-			ID: sub.ID, Entry: uint64(sub.Entry),
-			Owner: sub.Owner, FoundNS: int64(sub.FoundAt),
-		}
-		for m := range sub.Members {
-			bs.Members = append(bs.Members, uint64(m))
-		}
-		sort.Slice(bs.Members, func(i, j int) bool { return bs.Members[i] < bs.Members[j] })
-		r.bin.Subspace(bs)
+		w.Subspace(SubspaceRecord(sub))
 	}
-	if res.Book != nil {
-		for _, sig := range res.Book.Signatures() {
-			s := res.Book.Lookup(sig)
-			r.bin.Screen(bin.Screen{
-				Sig: uint64(sig), Activity: s.Activity, Nodes: s.Root.Size(),
-			})
-		}
+	for _, s := range ScreenRecords(res.Book) {
+		w.Screen(s)
 	}
-	if st := res.Transport; r.cfg.Faults != nil && r.cfg.Faults.Enabled() {
-		r.bin.Transport(bin.Transport{
-			Events:          st.Published,
-			Delivered:       st.Delivered,
-			Commands:        st.Commands,
-			CommandFailures: st.CommandFailures,
-			Dropped:         st.Dropped,
-			Delayed:         st.Delayed,
-			Deaths:          st.Deaths,
-			Hangs:           st.Hangs,
-			AllocFailures:   st.AllocFailures,
-			LostCommands:    st.LostCommands,
-			FailedInstances: res.FailedInstances,
-			OrphansPending:  res.OrphansPending,
-			HasMix: true,
-			Mix: [6]int{
-				st.KindCount(bus.Allocate), st.KindCount(bus.Deallocate),
-				st.KindCount(bus.BlockWidget), st.KindCount(bus.BlockMember),
-				st.KindCount(bus.Kill), st.KindCount(bus.Hang),
-			},
-		})
+	if r.cfg.Faults != nil && r.cfg.Faults.Enabled() {
+		w.Transport(wire.Accounting(res.Transport, res.FailedInstances, res.OrphansPending))
 	}
 	if r.tel != nil {
 		for _, m := range r.tel.Registry().Snapshot() {
-			r.bin.Metric(m)
+			w.Metric(m)
 		}
 	}
-	r.bin.End(bin.End{
+	w.End(res.EndRecord())
+}
+
+// RecordHeader is the run identity a binary trace or wire log opens with.
+func (c RunConfig) RecordHeader() bin.Header {
+	return bin.Header{
+		App:          c.App.Name,
+		Tool:         c.Tool,
+		Setting:      c.Setting.String(),
+		Seed:         c.Seed,
+		ScenarioHash: c.ScenarioHash,
+		Telemetry:    c.Telemetry,
+		Faults:       c.Faults != nil && c.Faults.Enabled(),
+	}
+}
+
+// Summary is the lease's end-of-run record.
+func (ir InstanceResult) Summary() bin.InstanceSummary {
+	s := bin.InstanceSummary{
+		ID:          ir.ID,
+		AllocatedNS: int64(ir.Allocated),
+		ReleasedNS:  int64(ir.Released),
+		Failed:      ir.Failed,
+		Coverage:    ir.Methods.Count(),
+	}
+	for _, rep := range ir.Crashes.Reports() {
+		s.Crashes = append(s.Crashes, bin.Crash{
+			Signature: string(rep.Signature),
+			AtNS:      int64(rep.At),
+			Frames:    rep.Frames,
+		})
+	}
+	return s
+}
+
+// EndRecord is the run totals record.
+func (res *RunResult) EndRecord() bin.End {
+	return bin.End{
 		WallNS:        int64(res.WallUsed),
 		MachineNS:     int64(res.MachineUsed),
 		Coverage:      res.Union.Count(),
 		UniqueCrashes: res.UniqueCrashes,
-	})
+	}
+}
+
+// SampleRecord is one timeline point's record.
+func SampleRecord(p metrics.Point) bin.Sample {
+	return bin.Sample{
+		WallNS: int64(p.Wall), MachineNS: int64(p.Machine),
+		Covered: p.Covered, Crashes: p.Crashes, AJS: p.AJS,
+	}
+}
+
+// SubspaceRecord is an accepted subspace's record, members sorted
+// ascending (the canonical export order).
+func SubspaceRecord(sub *core.Subspace) bin.Subspace {
+	s := bin.Subspace{ID: sub.ID, Entry: uint64(sub.Entry), Owner: sub.Owner, FoundNS: int64(sub.FoundAt)}
+	for m := range sub.Members {
+		s.Members = append(s.Members, uint64(m))
+	}
+	slices.Sort(s.Members)
+	return s
+}
+
+// ScreenRecords digests the book's screens in first-seen order (nil for a
+// nil book).
+func ScreenRecords(book *trace.Book) []bin.Screen {
+	if book == nil {
+		return nil
+	}
+	var out []bin.Screen
+	for _, sig := range book.Signatures() {
+		s := book.Lookup(sig)
+		out = append(out, bin.Screen{Sig: uint64(sig), Activity: s.Activity, Nodes: s.Root.Size()})
+	}
+	return out
 }

@@ -8,8 +8,8 @@ import (
 )
 
 func TestExhaustiveFlagsMissingMembers(t *testing.T) {
-	// Includes the acceptance case: a dispatcher over wire.FrameKind that
-	// deliberately omits FrameRunEnd.
+	// Includes the acceptance case: a dispatcher over bin.Kind that
+	// deliberately omits KindRunEnd.
 	linttest.Run(t, lint.Exhaustive(lint.DefaultConfig()), "taopt/internal/core", "testdata/exhaustive/flagged")
 }
 

@@ -1,4 +1,4 @@
-// Package bin is the compact binary trace+telemetry format: the streaming,
+// Package bin is the repository's one recorded-run format: the streaming,
 // storage-efficient twin of the JSON run export. A campaign run writes its
 // unbounded data — UI transition events, timeline samples, coordinator
 // decisions — as varint-encoded records in fixed-size chunks *while the run
@@ -7,6 +7,14 @@
 // accounting, metrics, totals). The JSON export (export format v5) stays the
 // human-readable debug view; this format is what corpus-scale analytics
 // (cmd/tracetool corpus) stream over thousands of runs in one pass.
+//
+// A wire log is the same stream with the protocol flag set in its header.
+// Besides every record of a binary trace it carries the protocol records a
+// replay needs to re-drive the coordinator without the farm, the tools or
+// the fault plan: the resolved run config, screen definitions with their
+// full hierarchies, delivered events, command/reply exchanges, injected
+// fates, leases, ticks and the run-end transport accounting. Readers that
+// only want the run's export (export.ReadBin, corpus) skip those records.
 //
 // # Layout
 //
@@ -25,11 +33,13 @@
 // Three tricks keep the stream small relative to the JSON view:
 //
 //   - Interning: strings (activities, widget paths, decision kinds, crash
-//     signatures, metric names) and 8-byte screen signatures are emitted
-//     once as definition records and referenced by small varint IDs after.
+//     signatures, metric names, reply messages, screen-tree fields) and
+//     8-byte screen signatures are emitted once as definition records and
+//     referenced by small varint IDs after.
 //   - Delta timestamps: event times are deltas against the same instance's
 //     previous event, sample times against the previous sample, decision
-//     times against the previous decision — all small varints.
+//     times against the previous decision, protocol record times against
+//     the previous protocol record — all small varints.
 //   - Field packing: action kind and the crashed/enforced flags share one
 //     byte; optional decision fields sit behind a presence bitmap.
 //
@@ -39,18 +49,21 @@
 // reject versions they do not know; any change to record layouts, the
 // interning scheme or the chunk framing bumps it. The header record carries
 // the JSON export schema version the stream mirrors (ExportVersion), so a
-// decoded stream rebuilds a Run of the era that wrote it. DESIGN.md §12
-// documents the contract.
+// decoded stream rebuilds a Run of the era that wrote it. Protocol record
+// kinds appear only in streams whose header sets the protocol flag; a
+// reader rejects them anywhere else. A stream without the flag is therefore
+// byte-for-byte what revision 1 always wrote, which is why adding the
+// protocol kinds did not bump Version. DESIGN.md §12 documents the contract.
 package bin
 
 import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"taopt/internal/obs"
 	"taopt/internal/trace"
+	"taopt/internal/ui"
 )
 
 const (
@@ -76,7 +89,8 @@ const (
 type Kind byte
 
 // Record kinds. KindStrDef and KindSigDef are interning records the Reader
-// consumes internally; Next never surfaces them.
+// consumes internally; Next never surfaces them. The kinds from
+// KindRunConfig on are protocol records (see Kind.Protocol).
 const (
 	// KindHeader opens the stream: run identity, scenario hash, schema era.
 	KindHeader Kind = iota + 1
@@ -84,7 +98,8 @@ const (
 	KindStrDef
 	// KindSigDef defines the next signature-table entry.
 	KindSigDef
-	// KindEvent is one UI transition event of one instance.
+	// KindEvent is one UI transition event of one instance, as the driver
+	// emitted it (before any fault decoration), launch events included.
 	KindEvent
 	// KindSample is one timeline sample point.
 	KindSample
@@ -103,38 +118,61 @@ const (
 	KindMetric
 	// KindEnd closes the stream with the run totals.
 	KindEnd
+	// KindRunConfig follows the header of a protocol stream: the resolved
+	// config a replay rebuilds the coordinator from.
+	KindRunConfig
+	// KindScreenDef defines one abstract screen (signature + exemplar
+	// hierarchy) before any record references it, in the trace book's
+	// insertion order.
+	KindScreenDef
+	// KindDelivered is one trace event as delivered to the coordinator
+	// side, after drops and delays.
+	KindDelivered
+	// KindCommand is one coordinator→executor command.
+	KindCommand
+	// KindReply is the executor's answer to the preceding KindCommand.
+	KindReply
+	// KindFate is a Kill/Hang command the fault plan injected below the
+	// coordinator (not part of a command/reply exchange).
+	KindFate
+	// KindLease records one instance boot; the instance's launch event
+	// follows as a KindEvent record.
+	KindLease
+	// KindTick records one strategy tick (the coordinator's health monitor
+	// and allocation-retry cadence).
+	KindTick
+	// KindRunEnd is the transport's final delivery accounting, written
+	// before the end-of-run summaries.
+	KindRunEnd
 )
 
-func (k Kind) String() string {
-	switch k {
-	case KindHeader:
-		return "header"
-	case KindStrDef:
-		return "strdef"
-	case KindSigDef:
-		return "sigdef"
-	case KindEvent:
-		return "event"
-	case KindSample:
-		return "sample"
-	case KindDecision:
-		return "decision"
-	case KindInstance:
-		return "instance"
-	case KindSubspace:
-		return "subspace"
-	case KindScreen:
-		return "screen"
-	case KindTransport:
-		return "transport"
-	case KindMetric:
-		return "metric"
-	case KindEnd:
-		return "end"
-	default:
-		return fmt.Sprintf("kind(%d)", byte(k))
-	}
+// Protocol reports whether k is a protocol record kind, legal only in a
+// stream whose header sets Protocol.
+func (k Kind) Protocol() bool { return k >= KindRunConfig && k <= KindRunEnd }
+
+var kindNames = [...]string{
+	KindHeader: "header", KindStrDef: "strdef", KindSigDef: "sigdef",
+	KindEvent: "event", KindSample: "sample", KindDecision: "decision",
+	KindInstance: "instance", KindSubspace: "subspace", KindScreen: "screen",
+	KindTransport: "transport", KindMetric: "metric", KindEnd: "end",
+	KindRunConfig: "config", KindScreenDef: "screendef", KindDelivered: "delivered",
+	KindCommand: "command", KindReply: "reply", KindFate: "fate",
+	KindLease: "lease", KindTick: "tick", KindRunEnd: "run-end",
 }
+
+func (k Kind) String() string {
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
+	}
+	return fmt.Sprintf("kind(%d)", byte(k))
+}
+
+// Header flag bits.
+const (
+	flagTelemetry = 1 << iota
+	flagFaults
+	flagProtocol
+)
 
 // Header is the run identity the stream opens with.
 type Header struct {
@@ -152,6 +190,8 @@ type Header struct {
 	Telemetry bool
 	// Faults marks a chaos run (a transport record follows at the end).
 	Faults bool
+	// Protocol marks a wire log: the stream also carries protocol records.
+	Protocol bool
 }
 
 // Sample is one timeline point (raw fields; the bin layer depends on no
@@ -198,7 +238,8 @@ type Screen struct {
 	Nodes    int
 }
 
-// Transport is the chaos run's coordination-transport accounting.
+// Transport is a run's coordination-transport accounting: the KindTransport
+// block of a chaos run, and the KindRunEnd record of every wire log.
 type Transport struct {
 	Events          int
 	Delivered       int
@@ -227,21 +268,70 @@ type End struct {
 	UniqueCrashes int
 }
 
+// RunConfig is the resolved run configuration a protocol stream carries.
+type RunConfig struct {
+	// Instances is the configured d_max; MaxDevices is the farm's actual
+	// concurrency cap (they differ for single-long runs).
+	Instances       int
+	MaxDevices      int
+	DurationNS      int64
+	MachineBudgetNS int64
+	SampleEveryNS   int64
+	// CoreOverride marks a run whose coordinator used a caller-supplied
+	// configuration; the override itself is not recorded, so such a log
+	// can be dumped but not replayed.
+	CoreOverride bool
+}
+
+// ScreenDef is one screen definition: the signature and the full
+// hierarchy, from which a replay rebuilds the run's trace book.
+type ScreenDef struct {
+	Sig    uint64
+	Screen *ui.Screen
+}
+
+// Command is one coordinator→executor command, or one injected fate, as
+// raw fields; internal/bus/wire maps it to and from bus.Command.
+type Command struct {
+	Kind     byte
+	Instance int
+	Screen   uint64
+	Widget   string
+}
+
+// Reply is the executor's answer to a Command as raw fields: the error
+// class (0 when the command succeeded) and the error message.
+// internal/bus/wire maps it to and from bus.Reply.
+type Reply struct {
+	Instance int
+	Class    byte
+	Msg      string
+}
+
 // Record is one decoded stream entry; Kind selects the meaningful payload
-// field.
+// field. The per-run kinds, of which a stream holds a bounded number,
+// decode behind pointers, so a Record stays small for the unbounded kinds.
 type Record struct {
 	Kind Kind
+	// AtNS is the virtual time a protocol record was written; zero for the
+	// other kinds, whose payloads carry their own times.
+	AtNS int64
 
-	Header    Header          // KindHeader
-	Event     trace.Event     // KindEvent (Instance set)
-	Sample    Sample          // KindSample
-	Decision  obs.Decision    // KindDecision
-	Summary   InstanceSummary // KindInstance
-	Subspace  Subspace        // KindSubspace
-	Screen    Screen          // KindScreen
-	Transport Transport       // KindTransport
-	Metric    obs.Metric      // KindMetric
-	End       End             // KindEnd
+	Header    *Header          // KindHeader
+	Event     trace.Event      // KindEvent, KindDelivered (Instance set)
+	Sample    Sample           // KindSample
+	Decision  obs.Decision     // KindDecision
+	Summary   *InstanceSummary // KindInstance
+	Subspace  *Subspace        // KindSubspace
+	Screen    Screen           // KindScreen
+	Transport *Transport       // KindTransport, KindRunEnd
+	Metric    *obs.Metric      // KindMetric
+	End       End              // KindEnd
+	Config    *RunConfig       // KindRunConfig
+	Def       ScreenDef        // KindScreenDef
+	Cmd       Command          // KindCommand, KindFate
+	Reply     Reply            // KindReply
+	Lease     int              // KindLease: the instance ID
 }
 
 // Writer streams records into the chunked binary form. All methods are
@@ -250,8 +340,11 @@ type Record struct {
 // recorder. Writer memory is bounded by ChunkSize plus the intern tables.
 type Writer struct {
 	w   io.Writer
-	buf []byte
+	e   Enc
 	err error
+	// protocol mirrors Header.Protocol: only such a stream accepts the
+	// protocol record kinds.
+	protocol bool
 
 	strIDs map[string]uint64
 	sigIDs map[uint64]uint64
@@ -259,6 +352,7 @@ type Writer struct {
 	lastEventAt map[int]int64
 	lastWall    int64
 	lastDecAt   int64
+	lastAt      int64 // protocol record timestamps
 }
 
 // NewWriter opens a binary trace stream on w: it writes the magic, the
@@ -267,10 +361,11 @@ type Writer struct {
 func NewWriter(w io.Writer, h Header) *Writer {
 	bw := &Writer{
 		w:           w,
-		buf:         make([]byte, 0, ChunkSize+1024),
+		e:           Enc{B: make([]byte, 0, ChunkSize+1024)},
 		strIDs:      make(map[string]uint64),
 		sigIDs:      make(map[uint64]uint64),
 		lastEventAt: make(map[int]int64),
+		protocol:    h.Protocol,
 	}
 	if _, err := io.WriteString(w, Magic); err != nil {
 		bw.err = fmt.Errorf("bin: writing magic: %w", err)
@@ -299,47 +394,27 @@ func (w *Writer) Close() error {
 
 // flush writes the pending payload as one chunk.
 func (w *Writer) flush() {
-	if w.err != nil || len(w.buf) == 0 {
+	if w.err != nil || len(w.e.B) == 0 {
 		return
 	}
 	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(w.buf)))
+	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(w.e.B)))
 	if _, err := w.w.Write(lenBuf[:]); err != nil {
 		w.err = fmt.Errorf("bin: writing chunk length: %w", err)
 		return
 	}
-	if _, err := w.w.Write(w.buf); err != nil {
+	if _, err := w.w.Write(w.e.B); err != nil {
 		w.err = fmt.Errorf("bin: writing chunk: %w", err)
 		return
 	}
-	w.buf = w.buf[:0]
+	w.e.B = w.e.B[:0]
 }
 
 // maybeFlush flushes once the pending payload reaches the chunk threshold.
 // It is called only at record boundaries, so records never straddle chunks.
 func (w *Writer) maybeFlush() {
-	if len(w.buf) >= ChunkSize {
+	if len(w.e.B) >= ChunkSize {
 		w.flush()
-	}
-}
-
-// --- primitive appends ----------------------------------------------------
-
-func (w *Writer) u8(v byte)        { w.buf = append(w.buf, v) }
-func (w *Writer) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
-func (w *Writer) varint(v int64)   { w.buf = binary.AppendVarint(w.buf, v) }
-func (w *Writer) f64(v float64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
-}
-func (w *Writer) rawstr(s string) {
-	w.uvarint(uint64(len(s)))
-	w.buf = append(w.buf, s...)
-}
-func (w *Writer) boolb(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
 	}
 }
 
@@ -351,8 +426,8 @@ func (w *Writer) strRef(s string) uint64 {
 	}
 	id := uint64(len(w.strIDs))
 	w.strIDs[s] = id
-	w.u8(byte(KindStrDef))
-	w.rawstr(s)
+	w.e.U8(byte(KindStrDef))
+	w.e.Str(s)
 	w.maybeFlush()
 	return id
 }
@@ -365,8 +440,8 @@ func (w *Writer) sigRef(sig uint64) uint64 {
 	}
 	id := uint64(len(w.sigIDs))
 	w.sigIDs[sig] = id
-	w.u8(byte(KindSigDef))
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, sig)
+	w.e.U8(byte(KindSigDef))
+	w.e.U64(sig)
 	w.maybeFlush()
 	return id
 }
@@ -377,21 +452,24 @@ func (w *Writer) header(h Header) {
 	if w.err != nil {
 		return
 	}
-	w.u8(byte(KindHeader))
-	w.rawstr(h.App)
-	w.rawstr(h.Tool)
-	w.rawstr(h.Setting)
-	w.varint(h.Seed)
-	w.rawstr(h.ScenarioHash)
-	w.varint(int64(h.ExportVersion))
+	w.e.U8(byte(KindHeader))
+	w.e.Str(h.App)
+	w.e.Str(h.Tool)
+	w.e.Str(h.Setting)
+	w.e.Varint(h.Seed)
+	w.e.Str(h.ScenarioHash)
+	w.e.Varint(int64(h.ExportVersion))
 	var flags byte
 	if h.Telemetry {
-		flags |= 1
+		flags |= flagTelemetry
 	}
 	if h.Faults {
-		flags |= 2
+		flags |= flagFaults
 	}
-	w.u8(flags)
+	if h.Protocol {
+		flags |= flagProtocol
+	}
+	w.e.U8(flags)
 	w.maybeFlush()
 }
 
@@ -402,15 +480,33 @@ func (w *Writer) Event(ev trace.Event) {
 	if w.err != nil {
 		return
 	}
-	widget := w.strRef(string(ev.Action.Widget))
-	from := w.sigRef(uint64(ev.From))
-	to := w.sigRef(uint64(ev.To))
-	activity := w.strRef(ev.Activity)
-	w.u8(byte(KindEvent))
-	w.uvarint(uint64(ev.Instance))
+	refs := w.eventRefs(ev)
+	w.e.U8(byte(KindEvent))
+	w.e.Uvarint(uint64(ev.Instance))
 	at := int64(ev.At)
-	w.varint(at - w.lastEventAt[ev.Instance])
+	w.e.Varint(at - w.lastEventAt[ev.Instance])
 	w.lastEventAt[ev.Instance] = at
+	w.eventBody(ev, refs)
+	w.maybeFlush()
+}
+
+// eventRefs are an event's interned references.
+type eventRefs struct{ widget, from, to, activity uint64 }
+
+// eventRefs interns an event's strings and signatures; it runs before the
+// record's kind byte, since definitions are records of their own.
+func (w *Writer) eventRefs(ev trace.Event) eventRefs {
+	return eventRefs{
+		widget:   w.strRef(string(ev.Action.Widget)),
+		from:     w.sigRef(uint64(ev.From)),
+		to:       w.sigRef(uint64(ev.To)),
+		activity: w.strRef(ev.Activity),
+	}
+}
+
+// eventBody appends the packed action byte and the references, the part
+// of an event shared by KindEvent and KindDelivered.
+func (w *Writer) eventBody(ev trace.Event, refs eventRefs) {
 	packed := byte(ev.Action.Kind) & 0x3f
 	if ev.Crashed {
 		packed |= 0x40
@@ -418,12 +514,11 @@ func (w *Writer) Event(ev trace.Event) {
 	if ev.Enforced {
 		packed |= 0x80
 	}
-	w.u8(packed)
-	w.uvarint(widget)
-	w.uvarint(from)
-	w.uvarint(to)
-	w.uvarint(activity)
-	w.maybeFlush()
+	w.e.U8(packed)
+	w.e.Uvarint(refs.widget)
+	w.e.Uvarint(refs.from)
+	w.e.Uvarint(refs.to)
+	w.e.Uvarint(refs.activity)
 }
 
 // Sample appends one timeline sample point.
@@ -433,17 +528,17 @@ func (w *Writer) Sample(s Sample) {
 	if w.err != nil {
 		return
 	}
-	w.u8(byte(KindSample))
-	w.varint(s.WallNS - w.lastWall)
+	w.e.U8(byte(KindSample))
+	w.e.Varint(s.WallNS - w.lastWall)
 	w.lastWall = s.WallNS
-	w.varint(s.MachineNS)
-	w.varint(int64(s.Covered))
-	w.varint(int64(s.Crashes))
+	w.e.Varint(s.MachineNS)
+	w.e.Varint(int64(s.Covered))
+	w.e.Varint(int64(s.Crashes))
 	if s.AJS != 0 {
-		w.u8(1)
-		w.f64(s.AJS)
+		w.e.U8(1)
+		w.e.F64(s.AJS)
 	} else {
-		w.u8(0)
+		w.e.U8(0)
 	}
 	w.maybeFlush()
 }
@@ -476,12 +571,12 @@ func (w *Writer) Decision(d obs.Decision) {
 	if d.Reason != "" {
 		reason = w.strRef(d.Reason)
 	}
-	w.u8(byte(KindDecision))
-	w.varint(d.AtNS - w.lastDecAt)
+	w.e.U8(byte(KindDecision))
+	w.e.Varint(d.AtNS - w.lastDecAt)
 	w.lastDecAt = d.AtNS
-	w.uvarint(kind)
-	w.varint(int64(d.Instance))
-	w.varint(int64(d.Sub))
+	w.e.Uvarint(kind)
+	w.e.Varint(int64(d.Instance))
+	w.e.Varint(int64(d.Sub))
 	var flags byte
 	if d.Entry != 0 {
 		flags |= decHasEntry
@@ -507,30 +602,30 @@ func (w *Writer) Decision(d obs.Decision) {
 	if d.IdleNS != 0 {
 		flags |= decHasIdle
 	}
-	w.u8(flags)
+	w.e.U8(flags)
 	if flags&decHasEntry != 0 {
-		w.uvarint(entry)
+		w.e.Uvarint(entry)
 	}
 	if flags&decHasMembers != 0 {
-		w.varint(int64(d.Members))
+		w.e.Varint(int64(d.Members))
 	}
 	if flags&decHasScore != 0 {
-		w.f64(d.Score)
+		w.e.F64(d.Score)
 	}
 	if flags&decHasOverlap != 0 {
-		w.f64(d.Overlap)
+		w.e.F64(d.Overlap)
 	}
 	if flags&decHasPurity != 0 {
-		w.f64(d.Purity)
+		w.e.F64(d.Purity)
 	}
 	if flags&decHasReason != 0 {
-		w.uvarint(reason)
+		w.e.Uvarint(reason)
 	}
 	if flags&decHasBackoff != 0 {
-		w.varint(d.BackoffNS)
+		w.e.Varint(d.BackoffNS)
 	}
 	if flags&decHasIdle != 0 {
-		w.varint(d.IdleNS)
+		w.e.Varint(d.IdleNS)
 	}
 	w.maybeFlush()
 }
@@ -549,19 +644,19 @@ func (w *Writer) Instance(s InstanceSummary) {
 			frameRefs[i][j] = w.strRef(fr)
 		}
 	}
-	w.u8(byte(KindInstance))
-	w.varint(int64(s.ID))
-	w.varint(s.AllocatedNS)
-	w.varint(s.ReleasedNS)
-	w.boolb(s.Failed)
-	w.varint(int64(s.Coverage))
-	w.uvarint(uint64(len(s.Crashes)))
+	w.e.U8(byte(KindInstance))
+	w.e.Varint(int64(s.ID))
+	w.e.Varint(s.AllocatedNS)
+	w.e.Varint(s.ReleasedNS)
+	w.e.Bool(s.Failed)
+	w.e.Varint(int64(s.Coverage))
+	w.e.Uvarint(uint64(len(s.Crashes)))
 	for i, cr := range s.Crashes {
-		w.uvarint(sigs[i])
-		w.varint(cr.AtNS)
-		w.uvarint(uint64(len(cr.Frames)))
+		w.e.Uvarint(sigs[i])
+		w.e.Varint(cr.AtNS)
+		w.e.Uvarint(uint64(len(cr.Frames)))
 		for _, ref := range frameRefs[i] {
-			w.uvarint(ref)
+			w.e.Uvarint(ref)
 		}
 	}
 	w.maybeFlush()
@@ -577,14 +672,14 @@ func (w *Writer) Subspace(s Subspace) {
 	for i, m := range s.Members {
 		members[i] = w.sigRef(m)
 	}
-	w.u8(byte(KindSubspace))
-	w.varint(int64(s.ID))
-	w.uvarint(entry)
-	w.varint(int64(s.Owner))
-	w.varint(s.FoundNS)
-	w.uvarint(uint64(len(members)))
+	w.e.U8(byte(KindSubspace))
+	w.e.Varint(int64(s.ID))
+	w.e.Uvarint(entry)
+	w.e.Varint(int64(s.Owner))
+	w.e.Varint(s.FoundNS)
+	w.e.Uvarint(uint64(len(members)))
 	for _, m := range members {
-		w.uvarint(m)
+		w.e.Uvarint(m)
 	}
 	w.maybeFlush()
 }
@@ -596,10 +691,10 @@ func (w *Writer) Screen(s Screen) {
 	}
 	sig := w.sigRef(s.Sig)
 	activity := w.strRef(s.Activity)
-	w.u8(byte(KindScreen))
-	w.uvarint(sig)
-	w.uvarint(activity)
-	w.varint(int64(s.Nodes))
+	w.e.U8(byte(KindScreen))
+	w.e.Uvarint(sig)
+	w.e.Uvarint(activity)
+	w.e.Varint(int64(s.Nodes))
 	w.maybeFlush()
 }
 
@@ -608,21 +703,25 @@ func (w *Writer) Transport(t Transport) {
 	if w.err != nil {
 		return
 	}
-	w.u8(byte(KindTransport))
-	for _, v := range []int{
+	w.e.U8(byte(KindTransport))
+	w.transportBody(t)
+	w.maybeFlush()
+}
+
+func (w *Writer) transportBody(t Transport) {
+	for _, v := range [...]int{
 		t.Events, t.Delivered, t.Commands, t.CommandFailures, t.Dropped,
 		t.Delayed, t.Deaths, t.Hangs, t.AllocFailures, t.LostCommands,
 		t.FailedInstances, t.OrphansPending,
 	} {
-		w.varint(int64(v))
+		w.e.Varint(int64(v))
 	}
-	w.boolb(t.HasMix)
+	w.e.Bool(t.HasMix)
 	if t.HasMix {
 		for _, v := range t.Mix {
-			w.varint(int64(v))
+			w.e.Varint(int64(v))
 		}
 	}
-	w.maybeFlush()
 }
 
 // Metric appends one metrics-registry snapshot entry.
@@ -632,27 +731,27 @@ func (w *Writer) Metric(m obs.Metric) {
 	}
 	name := w.strRef(m.Name)
 	typ := w.strRef(m.Type)
-	w.u8(byte(KindMetric))
-	w.uvarint(name)
-	w.uvarint(typ)
-	w.f64(m.Value)
-	w.varint(m.Count)
-	w.f64(m.Min)
-	w.f64(m.Max)
-	w.uvarint(uint64(len(m.Bounds)))
+	w.e.U8(byte(KindMetric))
+	w.e.Uvarint(name)
+	w.e.Uvarint(typ)
+	w.e.F64(m.Value)
+	w.e.Varint(m.Count)
+	w.e.F64(m.Min)
+	w.e.F64(m.Max)
+	w.e.Uvarint(uint64(len(m.Bounds)))
 	for _, b := range m.Bounds {
-		w.f64(b)
+		w.e.F64(b)
 	}
-	w.uvarint(uint64(len(m.Counts)))
+	w.e.Uvarint(uint64(len(m.Counts)))
 	for _, c := range m.Counts {
-		w.varint(c)
+		w.e.Varint(c)
 	}
-	w.uvarint(uint64(len(m.Points)))
+	w.e.Uvarint(uint64(len(m.Points)))
 	last := int64(0)
 	for _, p := range m.Points {
-		w.varint(p.AtNS - last)
+		w.e.Varint(p.AtNS - last)
 		last = p.AtNS
-		w.f64(p.Value)
+		w.e.F64(p.Value)
 	}
 	w.maybeFlush()
 }
@@ -663,10 +762,10 @@ func (w *Writer) End(e End) {
 	if w.err != nil {
 		return
 	}
-	w.u8(byte(KindEnd))
-	w.varint(e.WallNS)
-	w.varint(e.MachineNS)
-	w.varint(int64(e.Coverage))
-	w.varint(int64(e.UniqueCrashes))
+	w.e.U8(byte(KindEnd))
+	w.e.Varint(e.WallNS)
+	w.e.Varint(e.MachineNS)
+	w.e.Varint(int64(e.Coverage))
+	w.e.Varint(int64(e.UniqueCrashes))
 	w.flush()
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"taopt/internal/obs"
@@ -146,16 +147,15 @@ func TestRoundTripAllKinds(t *testing.T) {
 		case KindDecision:
 			gotDecisions = append(gotDecisions, rec.Decision)
 		case KindInstance:
-			gotInstances = append(gotInstances, rec.Summary)
+			gotInstances = append(gotInstances, *rec.Summary)
 		case KindSubspace:
-			gotSubspaces = append(gotSubspaces, rec.Subspace)
+			gotSubspaces = append(gotSubspaces, *rec.Subspace)
 		case KindScreen:
 			gotScreens = append(gotScreens, rec.Screen)
 		case KindTransport:
-			tr := rec.Transport
-			gotTransport = &tr
+			gotTransport = rec.Transport
 		case KindMetric:
-			gotMetrics = append(gotMetrics, rec.Metric)
+			gotMetrics = append(gotMetrics, *rec.Metric)
 		case KindEnd:
 			e := rec.End
 			gotEnd = &e
@@ -209,7 +209,7 @@ func TestWriterMemoryBounded(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
-		return cap(w.buf)
+		return cap(w.e.B)
 	}
 	small := capAfter(10_000)
 	big := capAfter(150_000)
@@ -241,6 +241,113 @@ func TestWriterSteadyStateAllocs(t *testing.T) {
 	// amortised zero once buf and the tables are warm).
 	if avg > 4 {
 		t.Errorf("steady-state Event allocates %.1f times per call, want <= 4", avg)
+	}
+
+	// The protocol records of a wire log: once the tables and the buffer
+	// are warm, writing them allocates nothing.
+	h := testHeader()
+	h.Protocol = true
+	pw := NewWriter(io.Discard, h)
+	ev := testEvent(1)
+	cmd := Command{Kind: 2, Instance: 1, Screen: 7, Widget: "path/1"}
+	rep := Reply{Instance: 1, Class: 1, Msg: "farm busy"}
+	at := int64(0)
+	protocol := func() {
+		at += 1e6
+		pw.Delivered(at, ev)
+		pw.Command(at, cmd)
+		pw.Reply(at, rep)
+		pw.Fate(at, cmd)
+		pw.Lease(at, 3)
+		pw.Tick(at)
+	}
+	protocol()
+	if avg := testing.AllocsPerRun(10_000, protocol); avg != 0 {
+		t.Errorf("steady-state protocol records allocate %.1f times per round, want 0", avg)
+	}
+	if err := pw.Err(); err != nil {
+		t.Fatalf("protocol writer error: %v", err)
+	}
+}
+
+// TestProtocolRecordsRoundTrip writes every protocol kind into a flagged
+// stream and reads it back field by field; an unflagged stream refuses
+// them at both ends.
+func TestProtocolRecordsRoundTrip(t *testing.T) {
+	screen := &ui.Screen{Activity: "Main", Root: &ui.Node{
+		Class: "FrameLayout", ResourceID: "root", Enabled: true,
+		Children: []*ui.Node{
+			{Class: "Button", ResourceID: "ok", Text: "OK", Enabled: true, Clickable: true},
+			nil,
+		},
+	}}
+	cfg := RunConfig{Instances: 5, MaxDevices: 1, DurationNS: 3600e9, MachineBudgetNS: 18000e9, SampleEveryNS: 10e9, CoreOverride: true}
+	ev := testEvent(4)
+	cmd := Command{Kind: 2, Instance: 1, Screen: 99, Widget: "root/ok"}
+	tr := Transport{Events: 9, Delivered: 8, Commands: 3, FailedInstances: 1, OrphansPending: 2, HasMix: true, Mix: [6]int{1, 1, 1}}
+	want := []Record{
+		{Kind: KindRunConfig, Config: &cfg},
+		{Kind: KindScreenDef, AtNS: 1e9, Def: ScreenDef{Sig: 99, Screen: screen}},
+		{Kind: KindDelivered, AtNS: 5e9, Event: ev},
+		{Kind: KindCommand, AtNS: 5e9, Cmd: cmd},
+		{Kind: KindReply, AtNS: 5e9, Reply: Reply{Instance: 1}},
+		{Kind: KindReply, AtNS: 5e9, Reply: Reply{Class: 4, Msg: "harness: run ended"}},
+		{Kind: KindFate, AtNS: 6e9, Cmd: Command{Kind: 4, Instance: 2}},
+		{Kind: KindLease, AtNS: 7e9, Lease: 3},
+		{Kind: KindTick, AtNS: 8e9},
+		{Kind: KindRunEnd, AtNS: 9e9, Transport: &tr},
+	}
+	h := testHeader()
+	h.Protocol = true
+	var buf bytes.Buffer
+	w := NewWriter(&buf, h)
+	w.RunConfig(cfg)
+	w.ScreenDef(1e9, 99, screen)
+	w.Delivered(5e9, ev)
+	w.Command(5e9, cmd)
+	w.Reply(5e9, want[4].Reply)
+	w.Reply(5e9, want[5].Reply)
+	w.Fate(6e9, want[6].Cmd)
+	w.Lease(7e9, 3)
+	w.Tick(8e9)
+	w.RunEnd(9e9, tr)
+	w.End(End{})
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	raw := buf.Bytes()
+	r, err := NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("NewReader: %v", err)
+	}
+	if !r.Header().Protocol {
+		t.Fatal("protocol flag lost")
+	}
+	for i, wr := range want {
+		got, err := r.Next()
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, wr) {
+			t.Fatalf("record %d:\n got %+v\nwant %+v", i, got, wr)
+		}
+	}
+
+	plain := NewWriter(io.Discard, testHeader())
+	plain.Tick(1)
+	if plain.Err() == nil {
+		t.Fatal("a stream without the protocol flag accepted a protocol record")
+	}
+	// The same bytes with the flag cleared: the reader refuses them.
+	b := append([]byte(nil), raw...)
+	flags := bytes.Index(b, []byte("deadbeef")) + len("deadbeef") + 1
+	b[flags] &^= flagProtocol
+	r, err = NewReader(bytes.NewReader(b))
+	if err != nil {
+		t.Fatalf("NewReader: %v", err)
+	}
+	if _, err := r.Next(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("protocol record in an unflagged stream: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -275,8 +382,8 @@ func TestReaderMemoryBounded(t *testing.T) {
 	if count != n+1 { // events + end
 		t.Fatalf("decoded %d records, want %d", count, n+1)
 	}
-	if cap(r.chunk) > 2*ChunkSize {
-		t.Errorf("reader chunk capacity %d exceeds 2x ChunkSize (%d); stream is %d bytes", cap(r.chunk), 2*ChunkSize, buf.Len())
+	if cap(r.d.b) > 2*ChunkSize {
+		t.Errorf("reader chunk capacity %d exceeds 2x ChunkSize (%d); stream is %d bytes", cap(r.d.b), 2*ChunkSize, buf.Len())
 	}
 }
 
@@ -325,6 +432,24 @@ func TestReaderRejectsCorruption(t *testing.T) {
 			}
 		}
 	})
+	t.Run("action kind out of range", func(t *testing.T) {
+		var buf bytes.Buffer
+		w := NewWriter(&buf, testHeader())
+		ev := testEvent(1)
+		ev.Action.Kind = trace.ActionBack + 1
+		w.Event(ev)
+		w.End(End{})
+		if err := w.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		r, err := NewReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("NewReader: %v", err)
+		}
+		if _, err := r.Next(); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("err = %v, want ErrCorrupt", err)
+		}
+	})
 	t.Run("bit flips", func(t *testing.T) {
 		for pos := len(Magic) + 1; pos < len(full); pos += 53 {
 			b := append([]byte(nil), full...)
@@ -342,4 +467,28 @@ func TestReaderRejectsCorruption(t *testing.T) {
 			// framing); the guarantee under test is no panic and no hang.
 		}
 	})
+}
+
+// forgedChunkStream is a 15-byte stream whose first chunk claims the
+// largest legal length and then ends.
+func forgedChunkStream() []byte {
+	b := []byte(Magic + "\x01")
+	b = append(b, 0, 0, 0, 4) // u32-LE 1<<26
+	return append(b, 1, 2, 3)
+}
+
+// TestForgedChunkLengthAllocatesLittle: a chunk length the stream does not
+// back costs only the bytes that arrive, not the claimed size.
+func TestForgedChunkLengthAllocatesLittle(t *testing.T) {
+	stream := forgedChunkStream()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewReader(bytes.NewReader(stream))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if delta := after.TotalAlloc - before.TotalAlloc; delta >= 1<<20 {
+		t.Fatalf("forged chunk length allocated %d bytes, want < 1 MiB", delta)
+	}
 }

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
+	"slices"
 
 	"taopt/internal/obs"
 	"taopt/internal/sim"
@@ -26,10 +26,12 @@ var ErrCorrupt = errors.New("bin: corrupt stream")
 type Reader struct {
 	r   io.Reader
 	hdr Header
+	// err is the latched stream error: I/O, framing or a record's decode
+	// failure.
 	err error
 
-	chunk []byte
-	off   int
+	// d decodes the current chunk; its buffer is reused across chunks.
+	d Dec
 
 	strs []string
 	sigs []uint64
@@ -37,6 +39,7 @@ type Reader struct {
 	lastEventAt map[int]int64
 	lastWall    int64
 	lastDecAt   int64
+	lastAt      int64 // protocol record timestamps
 }
 
 // NewReader opens a binary trace stream: it validates the magic and codec
@@ -63,7 +66,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if rec.Kind != KindHeader {
 		return nil, fmt.Errorf("%w: first record is %v, want header", ErrCorrupt, rec.Kind)
 	}
-	br.hdr = rec.Header
+	br.hdr = *rec.Header
 	return br, nil
 }
 
@@ -79,7 +82,7 @@ func (r *Reader) Next() (Record, error) {
 		if r.err != nil {
 			return Record{}, r.err
 		}
-		if r.off == len(r.chunk) {
+		if r.d.Rem() == 0 {
 			if err := r.loadChunk(); err != nil {
 				if err != io.EOF {
 					r.err = err
@@ -87,47 +90,61 @@ func (r *Reader) Next() (Record, error) {
 				return Record{}, err
 			}
 		}
-		kind := Kind(r.u8())
-		switch kind {
+		rec := Record{Kind: Kind(r.d.U8())}
+		if rec.Kind.Protocol() {
+			r.stamp(&rec)
+		}
+		switch rec.Kind {
 		case KindStrDef:
-			r.strs = append(r.strs, r.rawstr())
+			r.strs = append(r.strs, r.d.Str())
 		case KindSigDef:
-			r.sigs = append(r.sigs, r.u64le())
+			r.sigs = append(r.sigs, r.d.U64())
 		case KindHeader:
-			return r.finish(Record{Kind: kind, Header: r.header()})
+			rec.Header = r.header()
 		case KindEvent:
-			return r.finish(Record{Kind: kind, Event: r.event()})
+			rec.Event = r.event()
 		case KindSample:
-			return r.finish(Record{Kind: kind, Sample: r.sample()})
+			rec.Sample = r.sample()
 		case KindDecision:
-			return r.finish(Record{Kind: kind, Decision: r.decision()})
+			rec.Decision = r.decision()
 		case KindInstance:
-			return r.finish(Record{Kind: kind, Summary: r.instance()})
+			rec.Summary = r.instance()
 		case KindSubspace:
-			return r.finish(Record{Kind: kind, Subspace: r.subspace()})
+			rec.Subspace = r.subspace()
 		case KindScreen:
-			return r.finish(Record{Kind: kind, Screen: r.screen()})
+			rec.Screen = r.screen()
 		case KindTransport:
-			return r.finish(Record{Kind: kind, Transport: r.transport()})
+			rec.Transport = r.transport()
 		case KindMetric:
-			return r.finish(Record{Kind: kind, Metric: r.metric()})
+			rec.Metric = r.metric()
 		case KindEnd:
-			return r.finish(Record{Kind: kind, End: r.end()})
+			rec.End = r.end()
+		case KindRunConfig:
+			rec.Config = r.runConfig()
+		case KindScreenDef:
+			rec.Def = r.screenDef()
+		case KindDelivered:
+			rec.Event = r.delivered(rec.AtNS)
+		case KindCommand, KindFate:
+			rec.Cmd = r.command()
+		case KindReply:
+			rec.Reply = r.reply()
+		case KindLease:
+			rec.Lease = int(r.d.Varint())
+		case KindTick:
+		case KindRunEnd:
+			rec.Transport = r.transport()
 		default:
-			r.corruptf("unknown record kind %d", byte(kind))
+			r.d.Failf("unknown record kind %d", byte(rec.Kind))
 		}
-		if r.err != nil {
-			return Record{}, r.err
+		if err := r.d.Err(); err != nil {
+			r.err = err
+			return Record{}, err
+		}
+		if rec.Kind != KindStrDef && rec.Kind != KindSigDef {
+			return rec, nil
 		}
 	}
-}
-
-// finish gates a decoded record on the latched error.
-func (r *Reader) finish(rec Record) (Record, error) {
-	if r.err != nil {
-		return Record{}, r.err
-	}
-	return rec, nil
 }
 
 // loadChunk reads the next chunk's length prefix and payload. io.EOF at the
@@ -140,124 +157,34 @@ func (r *Reader) loadChunk() error {
 		}
 		return fmt.Errorf("%w: reading chunk length: %v", ErrCorrupt, err)
 	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
+	n := int(binary.LittleEndian.Uint32(lenBuf[:]))
 	if n == 0 || n > maxChunkSize {
 		return fmt.Errorf("%w: chunk length %d out of range", ErrCorrupt, n)
 	}
-	if cap(r.chunk) < int(n) {
-		r.chunk = make([]byte, n)
+	// Grow the buffer only as bytes arrive, at most ChunkSize at a time: a
+	// forged length costs what the stream holds, not what it claims.
+	buf := r.d.b[:0]
+	for len(buf) < n {
+		step := min(n-len(buf), ChunkSize)
+		buf = slices.Grow(buf, step)
+		got, err := io.ReadFull(r.r, buf[len(buf):len(buf)+step])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return fmt.Errorf("%w: reading %d-byte chunk: %v", ErrCorrupt, n, err)
+		}
 	}
-	r.chunk = r.chunk[:n]
-	r.off = 0
-	if _, err := io.ReadFull(r.r, r.chunk); err != nil {
-		return fmt.Errorf("%w: reading %d-byte chunk: %v", ErrCorrupt, n, err)
-	}
+	r.d = Dec{b: buf}
 	return nil
-}
-
-// corruptf latches a corruption error.
-func (r *Reader) corruptf(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
-	}
-}
-
-// --- primitive decoders (error-latching, wire-codec style) ----------------
-
-func (r *Reader) rem() int { return len(r.chunk) - r.off }
-
-func (r *Reader) u8() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.rem() < 1 {
-		r.corruptf("record truncated at chunk boundary")
-		return 0
-	}
-	b := r.chunk[r.off]
-	r.off++
-	return b
-}
-
-func (r *Reader) u64le() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.rem() < 8 {
-		r.corruptf("record truncated at chunk boundary")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.chunk[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *Reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.chunk[r.off:])
-	if n <= 0 {
-		r.corruptf("bad uvarint")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *Reader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.chunk[r.off:])
-	if n <= 0 {
-		r.corruptf("bad varint")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *Reader) f64() float64 { return math.Float64frombits(r.u64le()) }
-
-func (r *Reader) boolb() bool { return r.u8() != 0 }
-
-func (r *Reader) rawstr() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(r.rem()) {
-		r.corruptf("string length %d exceeds chunk remainder %d", n, r.rem())
-		return ""
-	}
-	s := string(r.chunk[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
-}
-
-// count decodes a collection length and guards it against the bytes left in
-// the chunk (every element costs at least one byte), bounding allocations.
-func (r *Reader) count() int {
-	n := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if n > uint64(r.rem()) {
-		r.corruptf("count %d exceeds chunk remainder %d", n, r.rem())
-		return 0
-	}
-	return int(n)
 }
 
 // str resolves a string-table reference.
 func (r *Reader) str() string {
-	id := r.uvarint()
-	if r.err != nil {
+	id := r.d.Uvarint()
+	if r.d.Err() != nil {
 		return ""
 	}
 	if id >= uint64(len(r.strs)) {
-		r.corruptf("string ref %d outside table of %d", id, len(r.strs))
+		r.d.Failf("string ref %d outside table of %d", id, len(r.strs))
 		return ""
 	}
 	return r.strs[id]
@@ -265,12 +192,12 @@ func (r *Reader) str() string {
 
 // sig resolves a signature-table reference.
 func (r *Reader) sig() uint64 {
-	id := r.uvarint()
-	if r.err != nil {
+	id := r.d.Uvarint()
+	if r.d.Err() != nil {
 		return 0
 	}
 	if id >= uint64(len(r.sigs)) {
-		r.corruptf("signature ref %d outside table of %d", id, len(r.sigs))
+		r.d.Failf("signature ref %d outside table of %d", id, len(r.sigs))
 		return 0
 	}
 	return r.sigs[id]
@@ -278,34 +205,46 @@ func (r *Reader) sig() uint64 {
 
 // --- record decoders ------------------------------------------------------
 
-func (r *Reader) header() Header {
-	h := Header{
-		App:           r.rawstr(),
-		Tool:          r.rawstr(),
-		Setting:       r.rawstr(),
-		Seed:          r.varint(),
-		ScenarioHash:  r.rawstr(),
-		ExportVersion: int(r.varint()),
+func (r *Reader) header() *Header {
+	h := &Header{
+		App:           r.d.Str(),
+		Tool:          r.d.Str(),
+		Setting:       r.d.Str(),
+		Seed:          r.d.Varint(),
+		ScenarioHash:  r.d.Str(),
+		ExportVersion: int(r.d.Varint()),
 	}
-	flags := r.u8()
-	h.Telemetry = flags&1 != 0
-	h.Faults = flags&2 != 0
+	flags := r.d.U8()
+	h.Telemetry = flags&flagTelemetry != 0
+	h.Faults = flags&flagFaults != 0
+	h.Protocol = flags&flagProtocol != 0
 	return h
 }
 
 //lint:hotpath
 func (r *Reader) event() trace.Event {
-	inst := int(r.uvarint())
-	at := r.lastEventAt[inst] + r.varint()
-	if r.err == nil {
+	inst := int(r.d.Uvarint())
+	at := r.lastEventAt[inst] + r.d.Varint()
+	if r.d.Err() == nil {
 		r.lastEventAt[inst] = at
 	}
-	packed := r.u8()
+	return r.eventBody(inst, at)
+}
+
+// eventBody decodes the packed action byte and the references shared by
+// KindEvent and KindDelivered. An action kind other than launch, tap or
+// back is corruption.
+func (r *Reader) eventBody(inst int, at int64) trace.Event {
+	packed := r.d.U8()
+	kind := trace.ActionKind(packed & 0x3f)
+	if kind > trace.ActionBack {
+		r.d.Failf("action kind %d out of range", kind)
+	}
 	return trace.Event{
 		Instance: inst,
 		At:       sim.Duration(at),
 		Action: trace.Action{
-			Kind:   trace.ActionKind(packed & 0x3f),
+			Kind:   kind,
 			Widget: ui.WidgetPath(r.str()),
 		},
 		From:     ui.Signature(r.sig()),
@@ -319,15 +258,15 @@ func (r *Reader) event() trace.Event {
 //lint:hotpath
 func (r *Reader) sample() Sample {
 	s := Sample{}
-	s.WallNS = r.lastWall + r.varint()
-	if r.err == nil {
+	s.WallNS = r.lastWall + r.d.Varint()
+	if r.d.Err() == nil {
 		r.lastWall = s.WallNS
 	}
-	s.MachineNS = r.varint()
-	s.Covered = int(r.varint())
-	s.Crashes = int(r.varint())
-	if r.boolb() {
-		s.AJS = r.f64()
+	s.MachineNS = r.d.Varint()
+	s.Covered = int(r.d.Varint())
+	s.Crashes = int(r.d.Varint())
+	if r.d.Bool() {
+		s.AJS = r.d.F64()
 	}
 	return s
 }
@@ -335,54 +274,54 @@ func (r *Reader) sample() Sample {
 //lint:hotpath
 func (r *Reader) decision() obs.Decision {
 	d := obs.Decision{}
-	d.AtNS = r.lastDecAt + r.varint()
-	if r.err == nil {
+	d.AtNS = r.lastDecAt + r.d.Varint()
+	if r.d.Err() == nil {
 		r.lastDecAt = d.AtNS
 	}
 	d.Kind = r.str()
-	d.Instance = int(r.varint())
-	d.Sub = int(r.varint())
-	flags := r.u8()
+	d.Instance = int(r.d.Varint())
+	d.Sub = int(r.d.Varint())
+	flags := r.d.U8()
 	if flags&decHasEntry != 0 {
 		d.Entry = r.sig()
 	}
 	if flags&decHasMembers != 0 {
-		d.Members = int(r.varint())
+		d.Members = int(r.d.Varint())
 	}
 	if flags&decHasScore != 0 {
-		d.Score = r.f64()
+		d.Score = r.d.F64()
 	}
 	if flags&decHasOverlap != 0 {
-		d.Overlap = r.f64()
+		d.Overlap = r.d.F64()
 	}
 	if flags&decHasPurity != 0 {
-		d.Purity = r.f64()
+		d.Purity = r.d.F64()
 	}
 	if flags&decHasReason != 0 {
 		d.Reason = r.str()
 	}
 	if flags&decHasBackoff != 0 {
-		d.BackoffNS = r.varint()
+		d.BackoffNS = r.d.Varint()
 	}
 	if flags&decHasIdle != 0 {
-		d.IdleNS = r.varint()
+		d.IdleNS = r.d.Varint()
 	}
 	return d
 }
 
-func (r *Reader) instance() InstanceSummary {
-	s := InstanceSummary{
-		ID:          int(r.varint()),
-		AllocatedNS: r.varint(),
-		ReleasedNS:  r.varint(),
-		Failed:      r.boolb(),
-		Coverage:    int(r.varint()),
+func (r *Reader) instance() *InstanceSummary {
+	s := &InstanceSummary{
+		ID:          int(r.d.Varint()),
+		AllocatedNS: r.d.Varint(),
+		ReleasedNS:  r.d.Varint(),
+		Failed:      r.d.Bool(),
+		Coverage:    int(r.d.Varint()),
 	}
-	n := r.count()
-	for i := 0; i < n && r.err == nil; i++ {
-		cr := Crash{Signature: r.str(), AtNS: r.varint()}
-		fn := r.count()
-		for j := 0; j < fn && r.err == nil; j++ {
+	n := r.d.Count()
+	for i := 0; i < n && r.d.Err() == nil; i++ {
+		cr := Crash{Signature: r.str(), AtNS: r.d.Varint()}
+		fn := r.d.Count()
+		for j := 0; j < fn && r.d.Err() == nil; j++ {
 			cr.Frames = append(cr.Frames, r.str())
 		}
 		s.Crashes = append(s.Crashes, cr)
@@ -390,15 +329,15 @@ func (r *Reader) instance() InstanceSummary {
 	return s
 }
 
-func (r *Reader) subspace() Subspace {
-	s := Subspace{
-		ID:      int(r.varint()),
+func (r *Reader) subspace() *Subspace {
+	s := &Subspace{
+		ID:      int(r.d.Varint()),
 		Entry:   r.sig(),
-		Owner:   int(r.varint()),
-		FoundNS: r.varint(),
+		Owner:   int(r.d.Varint()),
+		FoundNS: r.d.Varint(),
 	}
-	n := r.count()
-	for i := 0; i < n && r.err == nil; i++ {
+	n := r.d.Count()
+	for i := 0; i < n && r.d.Err() == nil; i++ {
 		s.Members = append(s.Members, r.sig())
 	}
 	return s
@@ -408,60 +347,60 @@ func (r *Reader) screen() Screen {
 	return Screen{
 		Sig:      r.sig(),
 		Activity: r.str(),
-		Nodes:    int(r.varint()),
+		Nodes:    int(r.d.Varint()),
 	}
 }
 
-func (r *Reader) transport() Transport {
-	t := Transport{}
+func (r *Reader) transport() *Transport {
+	t := &Transport{}
 	for _, p := range []*int{
 		&t.Events, &t.Delivered, &t.Commands, &t.CommandFailures, &t.Dropped,
 		&t.Delayed, &t.Deaths, &t.Hangs, &t.AllocFailures, &t.LostCommands,
 		&t.FailedInstances, &t.OrphansPending,
 	} {
-		*p = int(r.varint())
+		*p = int(r.d.Varint())
 	}
-	t.HasMix = r.boolb()
+	t.HasMix = r.d.Bool()
 	if t.HasMix {
 		for i := range t.Mix {
-			t.Mix[i] = int(r.varint())
+			t.Mix[i] = int(r.d.Varint())
 		}
 	}
 	return t
 }
 
-func (r *Reader) metric() obs.Metric {
-	m := obs.Metric{
+func (r *Reader) metric() *obs.Metric {
+	m := &obs.Metric{
 		Name:  r.str(),
 		Type:  r.str(),
-		Value: r.f64(),
-		Count: r.varint(),
-		Min:   r.f64(),
-		Max:   r.f64(),
+		Value: r.d.F64(),
+		Count: r.d.Varint(),
+		Min:   r.d.F64(),
+		Max:   r.d.F64(),
 	}
-	n := r.count()
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Bounds = append(m.Bounds, r.f64())
+	n := r.d.Count()
+	for i := 0; i < n && r.d.Err() == nil; i++ {
+		m.Bounds = append(m.Bounds, r.d.F64())
 	}
-	n = r.count()
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Counts = append(m.Counts, r.varint())
+	n = r.d.Count()
+	for i := 0; i < n && r.d.Err() == nil; i++ {
+		m.Counts = append(m.Counts, r.d.Varint())
 	}
-	n = r.count()
+	n = r.d.Count()
 	last := int64(0)
-	for i := 0; i < n && r.err == nil; i++ {
-		at := last + r.varint()
+	for i := 0; i < n && r.d.Err() == nil; i++ {
+		at := last + r.d.Varint()
 		last = at
-		m.Points = append(m.Points, obs.SeriesPoint{AtNS: at, Value: r.f64()})
+		m.Points = append(m.Points, obs.SeriesPoint{AtNS: at, Value: r.d.F64()})
 	}
 	return m
 }
 
 func (r *Reader) end() End {
 	return End{
-		WallNS:        r.varint(),
-		MachineNS:     r.varint(),
-		Coverage:      int(r.varint()),
-		UniqueCrashes: int(r.varint()),
+		WallNS:        r.d.Varint(),
+		MachineNS:     r.d.Varint(),
+		Coverage:      int(r.d.Varint()),
+		UniqueCrashes: int(r.d.Varint()),
 	}
 }
