@@ -14,6 +14,9 @@ type Set struct {
 	bits  []uint64
 	n     int
 	count int
+	// group, when set, is the Group this set is member number member of.
+	group  *Group
+	member int
 }
 
 // NewSet returns an empty set over a universe of n methods.
@@ -36,6 +39,9 @@ func (s *Set) Add(id int) bool {
 	}
 	s.bits[w] |= b
 	s.count++
+	if s.group != nil {
+		s.group.added(s, id)
+	}
 	return true
 }
 
@@ -61,15 +67,19 @@ func (s *Set) Has(id int) bool {
 // Count returns the number of covered methods.
 func (s *Set) Count() int { return s.count }
 
-// Clone returns an independent copy.
+// Clone returns an independent copy, a member of no group.
 func (s *Set) Clone() *Set {
 	c := &Set{bits: make([]uint64, len(s.bits)), n: s.n, count: s.count}
 	copy(c.bits, s.bits)
 	return c
 }
 
-// UnionWith adds every element of o to s.
+// UnionWith adds every element of o to s. A group member grows only
+// through Add, so UnionWith on one panics.
 func (s *Set) UnionWith(o *Set) {
+	if s.group != nil {
+		panic("coverage: UnionWith on a group member")
+	}
 	s.mustMatch(o)
 	count := 0
 	for i := range s.bits {

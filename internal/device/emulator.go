@@ -85,6 +85,12 @@ const maxBackStack = 32
 // NewEmulator boots an instance of a on a fresh emulator. rng must be an
 // independent stream for this instance.
 func NewEmulator(id int, a *app.App, rng *sim.RNG) *Emulator {
+	return newEmulator(id, a, rng, coverage.NewSet(a.MethodCount()))
+}
+
+// newEmulator is NewEmulator recording coverage into cov, which must be
+// empty: booting already covers the first screen's methods.
+func newEmulator(id int, a *app.App, rng *sim.RNG, cov *coverage.Set) *Emulator {
 	e := &Emulator{
 		ID:       id,
 		App:      a,
@@ -92,7 +98,7 @@ func NewEmulator(id int, a *app.App, rng *sim.RNG) *Emulator {
 		visits:   make(map[app.ScreenID]int),
 		screens:  make([]screenMemo, len(a.Screens)),
 		resume:   make(map[int]app.ScreenID),
-		Coverage: coverage.NewSet(a.MethodCount()),
+		Coverage: cov,
 		Crashes:  crash.NewLog(a.Name),
 	}
 	e.launch()

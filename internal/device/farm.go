@@ -3,9 +3,10 @@ package device
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"taopt/internal/app"
+	"taopt/internal/coverage"
 	"taopt/internal/sim"
 )
 
@@ -30,9 +31,12 @@ type Farm struct {
 	maxDevices int
 	autoLogin  bool
 
-	nextID    int
-	active    map[int]*Allocation
-	retired   []*Allocation
+	nextID int
+	// all holds every allocation, and active the live ones, by ascending
+	// ID: IDs only grow, so Allocate appends to both.
+	all       []*Allocation
+	active    []*Allocation
+	coverage  *coverage.Group
 	meterUsed sim.Duration
 	failed    int
 }
@@ -71,9 +75,13 @@ func NewFarm(a *app.App, rng *sim.RNG, maxDevices int, autoLogin bool) *Farm {
 		rng:        rng,
 		maxDevices: maxDevices,
 		autoLogin:  autoLogin,
-		active:     make(map[int]*Allocation),
+		coverage:   coverage.NewGroup(a.MethodCount()),
 	}
 }
+
+// Coverage returns the group of every allocated instance's covered-method
+// set, member i being the set of the instance with ID i.
+func (f *Farm) Coverage() *coverage.Group { return f.coverage }
 
 // ActiveCount returns the number of currently allocated instances.
 func (f *Farm) ActiveCount() int { return len(f.active) }
@@ -93,12 +101,13 @@ func (f *Farm) Allocate(now sim.Duration) (*Allocation, error) {
 	}
 	id := f.nextID
 	f.nextID++
-	emu := NewEmulator(id, f.app, f.rng.Fork(int64(id)))
+	emu := newEmulator(id, f.app, f.rng.Fork(int64(id)), f.coverage.NewMember())
 	if f.autoLogin {
 		emu.AutoLogin()
 	}
 	al := &Allocation{Emu: emu, Since: now}
-	f.active[id] = al
+	f.all = append(f.all, al)
+	f.active = append(f.active, al)
 	return al, nil
 }
 
@@ -120,54 +129,37 @@ func (f *Farm) Fail(id int, now sim.Duration) (*Allocation, error) {
 }
 
 func (f *Farm) retire(id int, now sim.Duration, failed bool) (*Allocation, error) {
-	al, ok := f.active[id]
-	if !ok {
-		if id >= 0 && id < f.nextID {
-			return nil, fmt.Errorf("%w: instance %d", ErrDoubleRelease, id)
-		}
+	if id < 0 || id >= f.nextID {
 		return nil, fmt.Errorf("%w: instance %d", ErrUnknownInstance, id)
 	}
-	delete(f.active, id)
+	i, ok := slices.BinarySearchFunc(f.active, id, func(al *Allocation, id int) int { return al.Emu.ID - id })
+	if !ok {
+		return nil, fmt.Errorf("%w: instance %d", ErrDoubleRelease, id)
+	}
+	al := f.active[i]
+	f.active = slices.Delete(f.active, i, i+1)
 	al.Until = now
 	al.done = true
 	al.Failed = failed
 	if failed {
 		f.failed++
 	}
-	f.retired = append(f.retired, al)
 	f.meterUsed += al.Until - al.Since
 	return al, nil
 }
 
-// ReleaseAll de-allocates every active instance.
+// ReleaseAll de-allocates every active instance, in ID order.
 func (f *Farm) ReleaseAll(now sim.Duration) {
-	ids := make([]int, 0, len(f.active))
-	for id := range f.active {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		f.Release(id, now)
+	for len(f.active) > 0 {
+		f.Release(f.active[0].Emu.ID, now)
 	}
 }
 
 // Active returns the active allocations sorted by instance ID.
-func (f *Farm) Active() []*Allocation {
-	out := make([]*Allocation, 0, len(f.active))
-	for _, al := range f.active {
-		out = append(out, al)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Emu.ID < out[j].Emu.ID })
-	return out
-}
+func (f *Farm) Active() []*Allocation { return slices.Clone(f.active) }
 
-// All returns every allocation ever made, retired first, sorted by ID.
-func (f *Farm) All() []*Allocation {
-	out := append([]*Allocation(nil), f.retired...)
-	out = append(out, f.Active()...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Emu.ID < out[j].Emu.ID })
-	return out
-}
+// All returns every allocation ever made, sorted by ID.
+func (f *Farm) All() []*Allocation { return slices.Clone(f.all) }
 
 // MachineTime returns total machine time consumed by all allocations by now.
 func (f *Farm) MachineTime(now sim.Duration) sim.Duration {

@@ -127,3 +127,15 @@ func TestConductanceAsymmetry(t *testing.T) {
 		t.Fatalf("no reverse edges exist, backward=%v", backward)
 	}
 }
+
+var partitionSink Partition
+
+// BenchmarkOfflinePartition partitions a 1000-vertex ring of 50 regions,
+// about the size of a 60-minute baseline's merged transition graph.
+func BenchmarkOfflinePartition(b *testing.B) {
+	g, _ := ringOfRegions(50, 20, 5, 2, 7)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		partitionSink = OfflinePartition(g, DefaultPartitionOptions())
+	}
+}

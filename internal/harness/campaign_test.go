@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"taopt/internal/app"
@@ -228,4 +229,58 @@ func mustLoad(t *testing.T, name string) *app.App {
 		t.Fatal(err)
 	}
 	return a
+}
+
+// TestFleetPooledCellsShareOneApp checks that a campaign generates each app,
+// catalog or inline, once, that its pooled cells share the one *app.App, and
+// that sharing changes no result: every cell equals the same cell of a
+// campaign that computes only it, on an app of its own. Under -race it also
+// checks that no cell writes to the shared app.
+func TestFleetPooledCellsShareOneApp(t *testing.T) {
+	entry, err := apps.Lookup("Marvel Comics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := entry.Spec
+	spec.Name = "Inline Marvel"
+	cfg := tinyConfig()
+	cfg.Apps = []string{"Filters For Selfie", spec.Name}
+	cfg.Tools = []string{"monkey", "ape"}
+	cfg.ScenarioApps = map[string]ScenarioApp{spec.Name: {Spec: spec, Hash: "inline-hash"}}
+	cfg.Workers = 4
+	settings := []Setting{BaselineParallel, TaOPTDuration}
+
+	pooled := NewCampaign(cfg)
+	if err := pooled.Prefetch(nil, settings...); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range cfg.Apps {
+		a, _, err := pooled.loadApp(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, _, _ := pooled.loadApp(name); a != b {
+			t.Fatalf("%s: loadApp returned two apps in one campaign", name)
+		}
+	}
+	if len(pooled.built) != len(cfg.Apps) {
+		t.Fatalf("campaign built %d apps for %d names", len(pooled.built), len(cfg.Apps))
+	}
+
+	for _, name := range cfg.Apps {
+		for _, tool := range cfg.Tools {
+			for _, setting := range settings {
+				solo := cfg
+				solo.Workers = 1
+				want := mustCellT(t, NewCampaign(solo), name, tool, setting)
+				got := mustCellT(t, pooled, name, tool, setting)
+				if got.Hash != want.Hash || got.Union != want.Union || got.UniqueCrashes != want.UniqueCrashes ||
+					got.DistinctUIs != want.DistinctUIs || got.Events != want.Events ||
+					got.OfflineSubspaces != want.OfflineSubspaces ||
+					!reflect.DeepEqual(got.Timeline, want.Timeline) || !reflect.DeepEqual(got.OverlapHist, want.OverlapHist) {
+					t.Fatalf("pooled cell %s differs from a fresh-app cell:\n%+v\nvs\n%+v", got.Key, got, want)
+				}
+			}
+		}
+	}
 }

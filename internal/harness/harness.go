@@ -692,20 +692,17 @@ func (r *runner) sample() {
 	if len(als) == 0 {
 		return
 	}
-	sets := make([]*coverage.Set, len(als))
 	logs := make([]*crash.Log, len(als))
 	for i, al := range als {
-		sets[i] = al.Emu.Coverage
 		logs[i] = al.Emu.Crashes
 	}
+	cov := r.farm.Coverage()
 	p := metrics.Point{
 		Wall:    now,
 		Machine: r.farm.MachineTime(now),
-		Covered: coverage.UnionOf(sets).Count(),
+		Covered: cov.Count(),
 		Crashes: crash.UniqueUnion(logs),
-	}
-	if len(sets) > 1 {
-		p.AJS = metrics.AJS(sets)
+		AJS:     metrics.GroupAJS(cov),
 	}
 	r.timeline = append(r.timeline, p)
 	for _, w := range r.streams {
@@ -715,7 +712,7 @@ func (r *runner) sample() {
 		reg := r.tel.Registry()
 		reg.Append("run.coverage", now, float64(p.Covered))
 		reg.Append("run.crashes", now, float64(p.Crashes))
-		active := len(r.farm.Active())
+		active := r.farm.ActiveCount()
 		reg.Append("fleet.active", now, float64(active))
 		reg.Append("fleet.utilization", now, float64(active)/float64(r.farm.MaxDevices()))
 		var widgets, members int

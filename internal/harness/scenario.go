@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"sync"
 
 	"taopt/internal/app"
 	"taopt/internal/apps"
@@ -17,10 +18,31 @@ type ScenarioApp struct {
 }
 
 // loadApp resolves one campaign app name: an inline scenario app if the
-// campaign carries one under that name (generated fresh per cell, like
-// catalog loads), the catalog otherwise. It returns the generated app and
-// the scenario hash stamped into the cell's export.
+// campaign carries one under that name, the catalog otherwise. It returns
+// the generated app and the scenario hash stamped into the cell's export.
+// Each name is generated once per campaign: *app.App is read-only once
+// built, so the campaign's pooled cells share it.
 func (c *Campaign) loadApp(name string) (*app.App, string, error) {
+	c.builtMu.Lock()
+	b, ok := c.built[name]
+	if !ok {
+		b = &builtApp{}
+		c.built[name] = b
+	}
+	c.builtMu.Unlock()
+	b.once.Do(func() { b.app, b.hash, b.err = c.buildApp(name) })
+	return b.app, b.hash, b.err
+}
+
+// builtApp is one memoised loadApp result; once guards its generation.
+type builtApp struct {
+	once sync.Once
+	app  *app.App
+	hash string
+	err  error
+}
+
+func (c *Campaign) buildApp(name string) (*app.App, string, error) {
 	if sa, ok := c.cfg.ScenarioApps[name]; ok {
 		return app.Generate(sa.Spec), sa.Hash, nil
 	}

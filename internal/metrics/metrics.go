@@ -17,18 +17,33 @@ import (
 // Jaccard returns |A∩B| / |A∪B| for two covered-method sets; the similarity
 // of two empty sets is defined as 1 (identical behaviour).
 func Jaccard(a, b *coverage.Set) float64 {
-	union := a.UnionCount(b)
+	return jaccard(a.IntersectCount(b), a.UnionCount(b))
+}
+
+func jaccard(inter, union int) float64 {
 	if union == 0 {
 		return 1
 	}
-	return float64(a.IntersectCount(b)) / float64(union)
+	return float64(inter) / float64(union)
 }
 
 // AJS computes the Average Jaccard Similarity across all unordered pairs of
 // testing instances' covered-method sets (Eq. 1). It returns 0 for fewer
 // than two sets.
 func AJS(sets []*coverage.Set) float64 {
-	n := len(sets)
+	return averageJaccard(len(sets), func(i, j int) (int, int) {
+		return sets[i].IntersectCount(sets[j]), sets[i].UnionCount(sets[j])
+	})
+}
+
+// GroupAJS is AJS over a coverage group's members, read from the pair
+// counts the group keeps; it equals AJS over the members bit for bit.
+func GroupAJS(g *coverage.Group) float64 { return averageJaccard(g.Len(), g.Pair) }
+
+// averageJaccard averages the Jaccard similarity of every pair i < j of n
+// sets, given each pair's intersection and union sizes, summing in i-major
+// order.
+func averageJaccard(n int, pair func(i, j int) (inter, union int)) float64 {
 	if n < 2 {
 		return 0
 	}
@@ -36,7 +51,7 @@ func AJS(sets []*coverage.Set) float64 {
 	pairs := 0
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			sum += Jaccard(sets[i], sets[j])
+			sum += jaccard(pair(i, j))
 			pairs++
 		}
 	}
