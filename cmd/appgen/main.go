@@ -248,7 +248,7 @@ func gsld(a *app.App) {
 	b := graph.NewBuilder()
 	sigOf := make([]ui.Signature, len(a.Screens))
 	for i := range a.Screens {
-		sigOf[i] = a.Render(app.ScreenID(i), 0).Abstract()
+		sigOf[i] = a.Layout(app.ScreenID(i)).Sig
 	}
 	for i, s := range a.Screens {
 		for _, w := range s.Widgets {

@@ -266,7 +266,7 @@ func main() {
 			bySub[sc.Subspace] = append(bySub[sc.Subspace], int(sc.ID))
 		}
 		for _, sc := range aut.Screens {
-			sig := aut.Render(sc.ID, 0).Abstract()
+			sig := aut.Layout(sc.ID).Sig
 			truth[sig] = sc.Subspace
 			if sc.Subspace != 0 {
 				blk := bySub[sc.Subspace]

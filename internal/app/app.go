@@ -14,6 +14,7 @@ package app
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"taopt/internal/sim"
 	"taopt/internal/ui"
@@ -105,6 +106,19 @@ type App struct {
 	// instead of landing on the target screen — an ablation knob for depth
 	// accumulation dynamics.
 	ResumeProb float64
+
+	layoutOnce sync.Once
+	layouts    []Layout
+}
+
+// Layout is what every render of one screen shares: its abstract signature
+// and the WidgetPath of each widget. Render varies only element text with
+// the visit, and the abstraction leaves text out, so both are functions of
+// the ScreenID.
+type Layout struct {
+	Sig ui.Signature
+	// Paths[i] is the WidgetPath of Widgets[i] in the rendered hierarchy.
+	Paths []ui.WidgetPath
 }
 
 // Validate checks the structural invariants the rest of the system relies on.
@@ -243,6 +257,32 @@ func (a *App) Render(id ScreenID, visit int) *ui.Screen {
 		container.Children = append(container.Children, row)
 	}
 	return &ui.Screen{Activity: s.Activity, Root: root}
+}
+
+// Layout returns screen id's layout. The first call on an app renders every
+// screen once to build the table; the table is read-only afterwards, so the
+// emulators of every cell sharing the app read it without a lock. Callers
+// must not modify the returned layout.
+func (a *App) Layout(id ScreenID) *Layout {
+	a.layoutOnce.Do(a.buildLayouts)
+	return &a.layouts[id]
+}
+
+func (a *App) buildLayouts() {
+	a.layouts = make([]Layout, len(a.Screens))
+	for i, s := range a.Screens {
+		rendered := a.Render(ScreenID(i), 0)
+		l := &a.layouts[i]
+		l.Sig = rendered.Abstract()
+		l.Paths = make([]ui.WidgetPath, len(s.Widgets))
+		for w := range l.Paths {
+			path, err := ui.PathOf(rendered.Root, []int{1, w})
+			if err != nil {
+				panic(fmt.Sprintf("app: screen %d rendered without widget %d: %v", i, w, err))
+			}
+			l.Paths[w] = path
+		}
+	}
 }
 
 // Outcome describes the effect of firing a widget.

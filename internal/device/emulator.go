@@ -32,8 +32,6 @@ type Action struct {
 	Widget int
 	// Path locates the acted-on element in the rendered hierarchy.
 	Path ui.WidgetPath
-	// Node is the rendered element (nil for Back).
-	Node *ui.Node
 }
 
 // Result describes the effect of performing an action.
@@ -59,24 +57,10 @@ type Emulator struct {
 	resume    map[int]app.ScreenID // functionality -> last screen (task state)
 	loggedIn  bool
 	restarts  int
-	// screens memoises, per ScreenID, what a render of the screen yields
-	// that does not depend on the visit; see screenMemo.
-	screens []screenMemo
 
 	// Coverage and Crashes are this instance's MiniTrace/Logcat analogues.
 	Coverage *coverage.Set
 	Crashes  *crash.Log
-}
-
-// screenMemo is what every render of one screen shares: its abstract
-// signature and the WidgetPath of each widget. Rendering varies only
-// element text with the visit, and the abstraction leaves text out, so both
-// are functions of the ScreenID. The memo lives on the emulator, which one
-// run owns, not on the *app.App, which every emulator of a run shares.
-type screenMemo struct {
-	done  bool
-	sig   ui.Signature
-	paths []ui.WidgetPath
 }
 
 // maxBackStack caps Android-style task depth.
@@ -96,7 +80,6 @@ func newEmulator(id int, a *app.App, rng *sim.RNG, cov *coverage.Set) *Emulator 
 		App:      a,
 		rng:      rng,
 		visits:   make(map[app.ScreenID]int),
-		screens:  make([]screenMemo, len(a.Screens)),
 		resume:   make(map[int]app.ScreenID),
 		Coverage: cov,
 		Crashes:  crash.NewLog(a.Name),
@@ -165,48 +148,40 @@ func (e *Emulator) Render() *ui.Screen {
 func (e *Emulator) Activity() string { return e.App.Screen(e.cur).Activity }
 
 // Sig returns the abstract signature of the current screen, equal to
-// Render().Abstract(). It renders only on a screen's first call.
-func (e *Emulator) Sig() ui.Signature { return e.memo().sig }
+// Render().Abstract(), from the app's layout table.
+func (e *Emulator) Sig() ui.Signature { return e.App.Layout(e.cur).Sig }
 
-// memo returns the current screen's memo, filling it on first use.
-func (e *Emulator) memo() *screenMemo {
-	m := &e.screens[e.cur]
-	if m.done {
-		return m
-	}
-	rendered := e.Render()
-	m.sig = rendered.Abstract()
-	m.paths = make([]ui.WidgetPath, len(e.App.Screen(e.cur).Widgets))
-	for i := range m.paths {
-		path, err := ui.PathOf(rendered.Root, []int{1, i})
-		if err != nil {
-			panic(fmt.Sprintf("device: rendered screen lost widget %d: %v", i, err))
+// Offered returns the actions a tool may take on the current screen without
+// rendering it: a tap on each widget whose path is not in blocked, in widget
+// order, then Back. Every widget renders enabled and clickable, so only a
+// block removes one.
+func (e *Emulator) Offered(blocked map[ui.WidgetPath]bool) []Action {
+	paths := e.App.Layout(e.cur).Paths
+	out := make([]Action, 0, len(paths)+1)
+	for i, path := range paths {
+		if !blocked[path] {
+			out = append(out, Action{Kind: trace.ActionTap, Widget: i, Path: path})
 		}
-		m.paths[i] = path
 	}
-	m.done = true
-	return m
+	return append(out, Action{Kind: trace.ActionBack, Widget: -1})
 }
 
 // Actions enumerates the executable actions on the rendered screen. Elements
-// disabled in rendered (e.g. by the Toller driver's entrypoint blocking) are
-// excluded. Back is always available.
+// disabled in rendered are excluded. Back is always available. It is the
+// rendered-tree counterpart of Offered, which the step path uses.
 //
 // rendered must originate from this emulator's Render: the i'th clickable of
 // the container corresponds to widget i of the current screen.
 func (e *Emulator) Actions(rendered *ui.Screen) []Action {
-	paths := e.memo().paths
+	paths := e.App.Layout(e.cur).Paths
 	container := rendered.Root.Children[1]
 	out := make([]Action, 0, len(paths)+1)
 	for i, path := range paths {
-		node := container.Children[i]
-		if !node.Clickable || !node.Enabled {
-			continue
+		if node := container.Children[i]; node.Clickable && node.Enabled {
+			out = append(out, Action{Kind: trace.ActionTap, Widget: i, Path: path})
 		}
-		out = append(out, Action{Kind: trace.ActionTap, Widget: i, Path: path, Node: node})
 	}
-	out = append(out, Action{Kind: trace.ActionBack, Widget: -1})
-	return out
+	return append(out, Action{Kind: trace.ActionBack, Widget: -1})
 }
 
 // Perform executes the action at virtual time now and returns the result,

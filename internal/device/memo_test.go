@@ -1,19 +1,24 @@
 package device
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"taopt/internal/app"
 	"taopt/internal/apps"
 	"taopt/internal/sim"
+	"taopt/internal/trace"
 	"taopt/internal/ui"
 )
 
-// TestSigMatchesRenderAbstract pins the per-screen memo to its definition:
-// on every screen of every catalog app, at several visit counts, Sig equals
-// the abstraction of the app's render and each tap action's Path equals
-// ui.PathOf on the rendered hierarchy. The visit counts change element
-// text only, so the first visit's memo must serve the later ones.
+// TestSigMatchesRenderAbstract pins the app's layout table to its
+// definition: on every screen of every catalog app, at several visit
+// counts, the layout's signature equals the abstraction of the app's render
+// and its paths equal ui.PathOf on the rendered hierarchy, and the
+// emulator's Sig, Actions and Offered agree with them. The visit counts
+// change element text only, so the table built at visit 0 must serve the
+// later ones.
 func TestSigMatchesRenderAbstract(t *testing.T) {
 	auts := []*app.App{testApp()}
 	for _, name := range apps.Names() {
@@ -24,43 +29,72 @@ func TestSigMatchesRenderAbstract(t *testing.T) {
 		for i := range a.Screens {
 			id := app.ScreenID(i)
 			e.cur = id
+			layout := a.Layout(id)
+			if len(layout.Paths) != len(a.Screen(id).Widgets) {
+				t.Fatalf("%s screen %d: layout has %d paths for %d widgets", a.Name, i, len(layout.Paths), len(a.Screen(id).Widgets))
+			}
 			for _, visit := range []int{0, 1, 7} {
 				e.visits[id] = visit
-				if got, want := e.Sig(), a.Render(id, visit).Abstract(); got != want {
-					t.Fatalf("%s screen %d visit %d: Sig = %v, Render().Abstract() = %v", a.Name, i, visit, got, want)
-				}
-				if got, want := e.Activity(), e.Render().Activity; got != want {
-					t.Fatalf("%s screen %d: Activity = %q, rendered %q", a.Name, i, got, want)
-				}
 				rendered := e.Render()
-				for _, act := range e.Actions(rendered) {
-					if act.Node == nil {
-						continue
-					}
-					want, err := ui.PathOf(rendered.Root, []int{1, act.Widget})
+				want := rendered.Abstract()
+				if layout.Sig != want || e.Sig() != want {
+					t.Fatalf("%s screen %d visit %d: Layout().Sig = %v, Sig = %v, Render().Abstract() = %v", a.Name, i, visit, layout.Sig, e.Sig(), want)
+				}
+				if got := e.Activity(); got != rendered.Activity {
+					t.Fatalf("%s screen %d: Activity = %q, rendered %q", a.Name, i, got, rendered.Activity)
+				}
+				for w, path := range layout.Paths {
+					want, err := ui.PathOf(rendered.Root, []int{1, w})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if act.Path != want {
-						t.Fatalf("%s screen %d widget %d: Path = %q, PathOf = %q", a.Name, i, act.Widget, act.Path, want)
+					if path != want {
+						t.Fatalf("%s screen %d widget %d: Layout().Paths = %q, PathOf = %q", a.Name, i, w, path, want)
 					}
+				}
+				acts := e.Actions(rendered)
+				if len(acts) != len(layout.Paths)+1 || acts[len(acts)-1].Kind != trace.ActionBack {
+					t.Fatalf("%s screen %d: Actions offers %d actions for %d widgets plus Back", a.Name, i, len(acts), len(layout.Paths))
+				}
+				for w, act := range acts[:len(layout.Paths)] {
+					if act.Kind != trace.ActionTap || act.Widget != w || act.Path != layout.Paths[w] {
+						t.Fatalf("%s screen %d: action %d = %+v, want a tap on widget %d at %q", a.Name, i, w, act, w, layout.Paths[w])
+					}
+				}
+				if offered := e.Offered(nil); !reflect.DeepEqual(offered, acts) {
+					t.Fatalf("%s screen %d: Offered(nil) = %+v, Actions(Render()) = %+v", a.Name, i, offered, acts)
 				}
 			}
 		}
 	}
 }
 
-// TestMemoIsPerEmulator checks two emulators of one app keep separate
-// memos, so pooled runs sharing an *app.App share no mutable state.
-func TestMemoIsPerEmulator(t *testing.T) {
-	a := testApp()
-	e1 := NewEmulator(0, a, sim.NewRNG(1))
-	e2 := NewEmulator(1, a, sim.NewRNG(2))
-	e1.Sig()
-	if e2.screens[e2.cur].done {
-		t.Fatal("one emulator's Sig filled another's memo")
+// TestLayoutSharedAcrossGoroutines has several goroutines, each with its
+// own emulator, read one fresh app's layout table at once, as the pooled
+// cells of a campaign do. Under -race it catches a table built or written
+// without synchronisation; every goroutine must see the same table.
+func TestLayoutSharedAcrossGoroutines(t *testing.T) {
+	a := apps.MustLoad("Zedge")
+	const readers = 4
+	tables := make([][]*app.Layout, readers)
+	var wg sync.WaitGroup
+	for g := range tables {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e := NewEmulator(g, a, sim.NewRNG(int64(g)))
+			e.Offered(nil)
+			for i := range a.Screens {
+				tables[g] = append(tables[g], a.Layout(app.ScreenID(i)))
+			}
+		}()
 	}
-	if e1.Sig() != e2.Sig() {
-		t.Fatal("emulators of one app disagree on a screen's signature")
+	wg.Wait()
+	for g := 1; g < readers; g++ {
+		for i := range a.Screens {
+			if tables[g][i] != tables[0][i] {
+				t.Fatalf("goroutines %d and 0 read different layouts of screen %d", g, i)
+			}
+		}
 	}
 }

@@ -57,16 +57,38 @@ func TestPerformRendersNothingWhenWarm(t *testing.T) {
 	}
 }
 
+// TestViewRendersNothingWhenWarm guards View the same way: once the book
+// has seen every screen, View reads the app's layout table instead of
+// rendering, so the actions slice is its only allocation.
+func TestViewRendersNothingWhenWarm(t *testing.T) {
+	d, actions, now := warmShopping(t)
+	emu := d.Emulator()
+	renderAllocs := testing.AllocsPerRun(100, func() { emu.Render() })
+	if renderAllocs < 2 {
+		t.Fatalf("a render allocates %v times; the guard needs it to be visible", renderAllocs)
+	}
+	i := 0
+	viewAllocs := testing.AllocsPerRun(1000, func() {
+		d.View()
+		acts := actions[emu.Current()]
+		now += d.Perform(acts[i%len(acts)], now).Latency
+		i++
+	})
+	if viewAllocs > 1 {
+		t.Fatalf("warm Driver.View allocates %v times per call, want only its actions slice (a render allocates %v)", viewAllocs, renderAllocs)
+	}
+}
+
 // TestViewBlockingKeepsExemplar checks that the book exemplar a View
 // records is the unblocked render, whichever driver call saw the screen
-// first: blocking is applied after the book has its clone.
+// first: blocking removes actions without touching any render.
 func TestViewBlockingKeepsExemplar(t *testing.T) {
 	a := threeZone()
 	emu := device.NewEmulator(0, a, sim.NewRNG(1))
 	d := &Driver{emu: emu, book: trace.NewBook(), log: &trace.Log{}, blocks: NewBlockSet()}
 	sig := emu.Sig()
 	for _, act := range emu.Actions(emu.Render()) {
-		if act.Node != nil {
+		if act.Widget >= 0 {
 			d.Blocks().BlockWidget(sig, act.Path)
 		}
 	}

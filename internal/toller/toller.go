@@ -6,9 +6,10 @@
 // matching a blocked entrypoint and disables them before the tool can
 // interact with them (Section 5.3).
 //
-// Tool-agnosticism is structural: tools receive only a View (a rendered
-// hierarchy plus executable actions) and never see app internals; TaOPT's
-// core receives only trace.Events and never sees the tool.
+// Tool-agnosticism is structural: tools receive only a View (the screen's
+// abstract signature and Activity plus executable actions) and never see
+// app internals; TaOPT's core receives only trace.Events and never sees the
+// tool.
 package toller
 
 import (
@@ -18,12 +19,13 @@ import (
 	"taopt/internal/ui"
 )
 
-// View is what a testing tool observes: the current (possibly
-// block-modified) hierarchy and the actions it may take.
+// View is what a testing tool observes: the current screen's abstract
+// signature and Activity, and the actions it may take, blocked entrypoints
+// already removed.
 type View struct {
-	Screen  *ui.Screen
-	Sig     ui.Signature
-	Actions []device.Action
+	Sig      ui.Signature
+	Activity string
+	Actions  []device.Action
 }
 
 // Listener receives UI transition notifications.
@@ -76,7 +78,7 @@ func (b *BlockSet) ActivityAllowed(activity string) bool {
 }
 
 // BlockWidget marks the element at path on screens with signature from as a
-// blocked entrypoint: the driver disables it on every render.
+// blocked entrypoint: the driver withholds it from every View.
 func (b *BlockSet) BlockWidget(from ui.Signature, path ui.WidgetPath) {
 	m, ok := b.widgets[from]
 	if !ok {
@@ -176,21 +178,12 @@ func (d *Driver) observe() ui.Signature {
 	return d.lastSig
 }
 
-// View renders the current screen, applies entrypoint blocks, and enumerates
-// the actions available to the tool. Its render is the only one a step
-// makes once the book has seen every screen.
+// View registers the current screen in the book and enumerates the actions
+// available to the tool, minus the entrypoints blocked on it. It renders
+// only a screen the book has not seen.
 func (d *Driver) View() View {
-	screen := d.emu.Render()
-	sig := d.book.ObserveSig(d.emu.Sig(), func() *ui.Screen { return screen })
-	d.lastSig = sig
-	if blocked := d.blocks.BlockedWidgets(sig); len(blocked) > 0 {
-		for path := range blocked {
-			if n := ui.FindPath(screen.Root, path); n != nil {
-				n.Enabled = false
-			}
-		}
-	}
-	return View{Screen: screen, Sig: sig, Actions: d.emu.Actions(screen)}
+	sig := d.observe()
+	return View{Sig: sig, Activity: d.emu.Activity(), Actions: d.emu.Offered(d.blocks.BlockedWidgets(sig))}
 }
 
 // Perform executes a tool-chosen action at virtual time now, records the

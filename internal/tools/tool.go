@@ -4,7 +4,8 @@
 // (the state-of-the-practice tool whose strategy prioritises UI actions that
 // trigger Activity transitions).
 //
-// A Tool observes only a toller.View — never app internals — and returns one
+// A Tool observes only a toller.View — the screen's abstract signature and
+// Activity and the actions on offer, never app internals — and returns one
 // of the view's actions. Everything TaOPT-related is tool-agnostic: the
 // coordinator never imports this package's concrete types.
 package tools
